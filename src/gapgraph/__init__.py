@@ -23,7 +23,7 @@ from .geometry import (
     thin_edge_rect,
 )
 from .oracle import oracle_feasible, oracle_relevant_edges
-from .partition import DualGraph, RegionPartition, build_dual_graph, build_partition
+from .partition import RegionPartition, build_partition
 from .polygons import decompose, point_in_polygon, polygon_area
 from .sweep import (
     GapEdge,
@@ -47,12 +47,10 @@ __all__ = [
     "Query",
     "Rect",
     "RegionPartition",
-    "DualGraph",
     "SYMMETRIES",
     "Symmetry",
     "Verdict",
     "build_candidates",
-    "build_dual_graph",
     "build_gap_edges",
     "build_index",
     "build_partition",

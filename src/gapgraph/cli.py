@@ -14,9 +14,8 @@ import random
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .engine import Query, build_index
+from .engine import FeasibilityIndex, Query, build_index
 from .geometry import RawShape, ingest_world
 from .oracle import oracle_feasible
 from .render import render_svg
@@ -30,46 +29,54 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_world(path: str) -> list[RawShape]:
+def _load(path: str, parse):
+    """parse(path); an unreadable or malformed file exits 1 with a message."""
     try:
-        return parse_world(_read(path))
+        return parse(path)
     except OSError as exc:
         raise SystemExit(f"error: {exc}")
     except ValueError as exc:
         raise SystemExit(f"error: {path}: {exc}")
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    shapes = _load_world(args.world)
+def _load_world(path: str) -> list[RawShape]:
+    return _load(path, lambda p: parse_world(_read(p)))
+
+
+def _load_queries(path: str) -> list[Query]:
+    return _load(path, lambda p: parse_queries(_read(p)))
+
+
+def _build(shapes: list[RawShape]) -> FeasibilityIndex:
     try:
-        index = build_index(shapes)
+        return build_index(shapes)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {exc}")
+
+
+def inject_fault(index: FeasibilityIndex) -> FeasibilityIndex:
+    """Give `index` a deliberate off-by-one (one external unit) in its
+    threshold search, so `verify --inject-fault` shows a mismatch report."""
+    exact = index.threshold_timestamp
+    index.threshold_timestamp = lambda d: exact(d + 2)
+    return index
+
+
+def cmd_build(args: argparse.Namespace) -> int:
+    index = _build(_load_world(args.world))
     save_index(index, args.out)
     passable = sum(1 for e in index.edges if e.capacity > 0)
     print(f"obstacles {len(index.obstacles)}")
     print(f"candidates {index.candidate_count}")
     print(f"edges {passable}")
     print(f"regions {index.partition.region_count}")
-    print(f"dual-edges {len(index.dual.edges)}")
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
-    try:
-        queries = parse_queries(_read(args.queries))
-    except ValueError as exc:
-        print(f"error: {args.queries}: {exc}", file=sys.stderr)
-        return 1
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(pool.map(index.feasible, queries))
-    else:
-        verdicts = [index.feasible(q) for q in queries]
-    for v in verdicts:
-        print(v.value)
+    index = _load(args.index, load_index)
+    for q in _load_queries(args.queries):
+        print(index.feasible(q).value)
     return 0
 
 
@@ -121,23 +128,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     shapes = _load_world(args.world)
     rng = random.Random(args.seed)
     if args.queries:
-        try:
-            queries = parse_queries(_read(args.queries))
-        except ValueError as exc:
-            print(f"error: {args.queries}: {exc}", file=sys.stderr)
-            return 1
+        queries = _load_queries(args.queries)
     else:
         queries = _random_queries(rng, shapes, args.random)
+
+    def build(shape_subset):
+        idx = _build(shape_subset)
+        return inject_fault(idx) if args.inject_fault else idx
 
     def disagrees(shape_subset, query):
         try:
             obs = ingest_world(shape_subset)
         except ValueError:
             return False
-        idx = build_index(shape_subset, inject_fault=args.inject_fault)
+        idx = build(shape_subset)
         return idx.feasible(query) != oracle_feasible(obs, query.s, query.t, query.d)
 
-    index = build_index(shapes, inject_fault=args.inject_fault)
+    index = build(shapes)
     obstacles = index.obstacles
     agree = 0
     first_bad = None
@@ -163,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
+    index = _load(args.index, load_index)
     svg = render_svg(
         index,
         show_regions=not args.no_regions,
@@ -200,7 +207,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "candidates": index.candidate_count,
                 "edges": sum(1 for e in index.edges if e.capacity > 0),
                 "regions": index.partition.region_count,
-                "dual_edges": len(index.dual.edges),
                 "build_s": round(build_s, 4),
                 "query_median_us": round(statistics.median(times), 1),
                 "query_p99_us": round(
@@ -238,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("query", help="answer a query file against an index")
     p.add_argument("index")
     p.add_argument("queries")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("gen", help="generate a world file")

@@ -28,14 +28,9 @@ class PersistentDsu:
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range 0..{self.n - 1}")
 
-    def find(self, u: int, t: int) -> int:
-        """Root of u in the forest restricted to links made at or before t."""
-        parent, link_time = self._parent, self._link_time
-        while parent[u] >= 0 and link_time[u] <= t:
-            u = parent[u]
-        return u
-
-    def find_with_hops(self, u: int, t: int) -> tuple[int, int]:
+    def find(self, u: int, t: int) -> tuple[int, int]:
+        """Root of u in the forest restricted to links made at or before t,
+        and the number of parent hops taken to reach it."""
         parent, link_time = self._parent, self._link_time
         hops = 0
         while parent[u] >= 0 and link_time[u] <= t:
@@ -52,8 +47,8 @@ class PersistentDsu:
         self._check_node(u)
         self._check_node(v)
         self._time += 1
-        ru = self.find(u, self._time)
-        rv = self.find(v, self._time)
+        ru = self.find(u, self._time)[0]
+        rv = self.find(v, self._time)[0]
         if ru != rv:
             rank = self._rank
             if rank[ru] < rank[rv]:
@@ -67,18 +62,12 @@ class PersistentDsu:
             self._link_time[child] = self._time
         return self._time
 
-    def connected(self, u: int, v: int, t: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        if not 0 <= t <= self._time:
-            raise ValueError(f"timestamp {t} out of range 0..{self._time}")
-        return self.find(u, t) == self.find(v, t)
-
     def connected_with_hops(self, u: int, v: int, t: int) -> tuple[bool, int]:
+        """Whether u and v are connected at time t, and the parent hops spent."""
         self._check_node(u)
         self._check_node(v)
         if not 0 <= t <= self._time:
             raise ValueError(f"timestamp {t} out of range 0..{self._time}")
-        ru, hu = self.find_with_hops(u, t)
-        rv, hv = self.find_with_hops(v, t)
+        ru, hu = self.find(u, t)
+        rv, hv = self.find(v, t)
         return ru == rv, hu + hv

@@ -19,15 +19,7 @@ import numpy as np
 
 from .dsu import PersistentDsu
 from .geometry import Obstacle, ingest_world
-from .partition import (
-    REGION,
-    SEALED,
-    DualGraph,
-    RegionPartition,
-    build_dual_graph,
-    build_partition,
-    seal_links,
-)
+from .partition import REGION, SEALED, RegionPartition, build_partition, seal_links
 from .sweep import GapEdge, build_candidates, relevance_filter
 
 
@@ -62,9 +54,7 @@ class FeasibilityIndex:
     edges: list[GapEdge]
     candidate_count: int
     partition: RegionPartition
-    dual: DualGraph
     links: list[tuple[int, int, int]]  # (node_a, node_b, capacity)
-    fault: bool = False
 
     dsu: PersistentDsu = field(init=False)
     _neg_caps: list[int] = field(init=False)
@@ -105,16 +95,6 @@ class FeasibilityIndex:
         return not bool(hit.any())
 
     # -- node lookup -----------------------------------------------------------
-
-    def node_of(self, p: tuple[int, int]) -> int:
-        """Union-graph node containing p (no validity check): the region id,
-        or the seal node R+k for points inside gap rectangle k."""
-        kind, ref = self.partition.locate(p)
-        if kind == REGION:
-            return ref
-        if kind == SEALED:
-            return self.partition.region_count + ref
-        raise AssertionError("free placement located inside an obstacle")
 
     def _body_cell_span(self, coords: list[int], lo: int, hi: int) -> range:
         """Cell indices geometrically meeting the open interval (lo, hi)."""
@@ -168,8 +148,6 @@ class FeasibilityIndex:
 
     def threshold_timestamp(self, d: int) -> int:
         """Last union timestamp whose link capacity is >= d."""
-        if self.fault:
-            d += 2  # deliberate off-by-one (one external unit) for harness tests
         return bisect_right(self._neg_caps, -d)
 
     def feasible_with_stats(self, q: Query) -> tuple[Verdict, int]:
@@ -189,24 +167,21 @@ class FeasibilityIndex:
         return self.feasible_with_stats(q)[0]
 
 
-def preprocess(obstacles: list[Obstacle], inject_fault: bool = False) -> FeasibilityIndex:
-    """Build the full index: edges, partition, dual graph, union timeline."""
+def preprocess(obstacles: list[Obstacle]) -> FeasibilityIndex:
+    """Build the full index: edges, partition, union timeline."""
     candidates = build_candidates(obstacles)
     edges = relevance_filter(candidates, obstacles)
     part = build_partition(obstacles, edges)
-    dual = build_dual_graph(part, edges)
     links = seal_links(part, edges)
     return FeasibilityIndex(
         obstacles=obstacles,
         edges=edges,
         candidate_count=len(candidates),
         partition=part,
-        dual=dual,
         links=links,
-        fault=inject_fault,
     )
 
 
-def build_index(shapes, inject_fault: bool = False) -> FeasibilityIndex:
+def build_index(shapes) -> FeasibilityIndex:
     """Ingest external-unit shapes and preprocess them."""
-    return preprocess(ingest_world(shapes), inject_fault=inject_fault)
+    return preprocess(ingest_world(shapes))

@@ -85,6 +85,11 @@ SYMMETRIES: tuple[Symmetry, ...] = tuple(
 
 IDENTITY = SYMMETRIES[0]
 
+#: Largest absolute external coordinate (and robot side) accepted.  Doubled
+#: into half-units and offset by a robot half-side of the same bound, every
+#: derived value still fits the int64 arrays the engine keeps.
+COORD_LIMIT = 2**60
+
 #: Raw ingestion shapes: ("rect", (x1, y1, x2, y2)) or ("poly", [(x, y), ...]),
 #: all in external (undoubled) integer units.
 RawShape = tuple[str, Sequence]
@@ -95,7 +100,8 @@ def ingest_world(shapes: Iterable[RawShape]) -> list[Obstacle]:
     half-unit obstacles with ids assigned densely in input order.
 
     Polygons are cut into disjoint rectangles first; each piece gets its
-    own id. Raises ValueError naming the offending input index.
+    own id. Raises ValueError naming the offending input index, also for a
+    coordinate beyond COORD_LIMIT.
     """
     obstacles: list[Obstacle] = []
     for index, (kind, data) in enumerate(shapes):
@@ -103,20 +109,20 @@ def ingest_world(shapes: Iterable[RawShape]) -> list[Obstacle]:
             x1, y1, x2, y2 = data
             if not (x1 < x2 and y1 < y2):
                 raise ValueError(f"input {index}: degenerate extent")
-            obstacles.append(
-                Obstacle(len(obstacles), 2 * x1, 2 * y1, 2 * x2, 2 * y2)
-            )
+            pieces = [data]
         elif kind == "poly":
             try:
                 pieces = polygons.decompose(data)
             except ValueError as exc:
                 raise ValueError(f"input {index}: {exc}") from exc
-            for x1, y1, x2, y2 in pieces:
-                obstacles.append(
-                    Obstacle(len(obstacles), 2 * x1, 2 * y1, 2 * x2, 2 * y2)
-                )
         else:
             raise ValueError(f"input {index}: unknown shape kind {kind!r}")
+        if any(abs(v) > COORD_LIMIT for piece in pieces for v in piece):
+            raise ValueError(f"input {index}: coordinate outside [-2**60, 2**60]")
+        for x1, y1, x2, y2 in pieces:
+            obstacles.append(
+                Obstacle(len(obstacles), 2 * x1, 2 * y1, 2 * x2, 2 * y2)
+            )
     return obstacles
 
 

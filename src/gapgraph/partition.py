@@ -1,4 +1,4 @@
-"""Region partition over a doubled compressed grid, and its dual graph.
+"""Region partition over a doubled compressed grid.
 
 The grid stores both coordinate lines and the open intervals between them
 as cells (even cell indices are zero-thickness lines, odd are intervals),
@@ -9,22 +9,20 @@ unbounded region.
 
 Cells covered by a closed obstacle are walls; cells covered by a surviving
 edge rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
-into regions.  The dual graph has one node per region and one capacity-
-weighted edge per passable gap whose two probed faces land in distinct
-regions.
+into regions.  One int32 array holds every cell's label: a region id >= 0,
+WALL_CELL for walls, or -2-k for cells sealed by gap edge k.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Obstacle
-from .sweep import AXIS_HORIZONTAL, GapEdge
+from .geometry import Obstacle, Rect
+from .sweep import GapEdge
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
@@ -32,12 +30,7 @@ WALL = "wall"
 SEALED = "sealed"
 REGION = "region"
 
-
-class DualEdge(NamedTuple):
-    a: int
-    b: int
-    capacity: int
-    edge_index: int
+WALL_CELL = -1
 
 
 @dataclass
@@ -80,9 +73,7 @@ class DoubledGrid:
 @dataclass
 class RegionPartition:
     grid: DoubledGrid
-    wall_owner: np.ndarray  # int32 [ix, iy]; -1 = no obstacle
-    sealed_owner: np.ndarray  # int32; -1 = no sealed edge
-    labels: np.ndarray  # int32; scipy labels, 0 where wall/sealed
+    labels: np.ndarray  # int32 [ix, iy]: region id, WALL_CELL, or -2-k for seal k
     region_count: int
 
     def locate(self, p: tuple[int, int]) -> tuple[str, int]:
@@ -92,27 +83,27 @@ class RegionPartition:
         return self.label_at(ix, iy)
 
     def label_at(self, ix: int, iy: int) -> tuple[str, int]:
-        w = self.wall_owner[ix, iy]
-        if w >= 0:
-            return WALL, int(w)
-        s = self.sealed_owner[ix, iy]
-        if s >= 0:
-            return SEALED, int(s)
-        return REGION, int(self.labels[ix, iy]) - 1
+        """(REGION, id), (SEALED, edge index) or (WALL, WALL_CELL)."""
+        v = int(self.labels[ix, iy])
+        if v >= 0:
+            return REGION, v
+        if v == WALL_CELL:
+            return WALL, WALL_CELL
+        return SEALED, -2 - v
 
     def region_at(self, ix: int, iy: int) -> int | None:
-        if self.wall_owner[ix, iy] >= 0 or self.sealed_owner[ix, iy] >= 0:
-            return None
-        return int(self.labels[ix, iy]) - 1
+        v = int(self.labels[ix, iy])
+        return v if v >= 0 else None
 
 
 def build_partition(
     obstacles: list[Obstacle], edges: list[GapEdge]
 ) -> RegionPartition:
-    """Label the doubled grid: walls, sealed edge rectangles, then regions.
+    """Label the doubled grid: regions, then sealed edge rectangles, then walls.
 
-    The unbounded face gets a region id like any other.  When rectangles
-    overlap, the later one (higher obstacle id / edge index) owns the cell.
+    The unbounded face gets a region id like any other.  Where gap
+    rectangles overlap, the higher edge index owns the cell; walls override
+    seals.
     """
     coords_x: set[int] = set()
     coords_y: set[int] = set()
@@ -128,101 +119,24 @@ def build_partition(
     ys = sorted({min(coords_y) - 2, *coords_y, max(coords_y) + 2})
     grid = DoubledGrid(xs, ys)
 
-    shape = grid.shape
-    wall = np.full(shape, -1, dtype=np.int32)
-    sealed = np.full(shape, -1, dtype=np.int32)
-    for o in obstacles:
-        wall[
-            grid.line_x(o.x1) : grid.line_x(o.x2) + 1,
-            grid.line_y(o.y1) : grid.line_y(o.y2) + 1,
-        ] = o.id
-    for k, e in enumerate(edges):
-        r = e.edge_rect
-        sealed[
-            grid.line_x(r.x1) : grid.line_x(r.x2) + 1,
-            grid.line_y(r.y1) : grid.line_y(r.y2) + 1,
-        ] = k
-    sealed[wall >= 0] = -1
-
-    free = (wall < 0) & (sealed < 0)
-    labels, count = ndimage.label(free, structure=_CROSS)
-    return RegionPartition(grid, wall, sealed, labels.astype(np.int32), int(count))
-
-
-@dataclass
-class DualGraph:
-    region_count: int
-    edges: list[DualEdge]
-    #: gap-edge index -> probed incident regions, passage-axis faces first.
-    incident: dict[int, tuple[int, ...]]
-
-
-def _probe_vertical_face(
-    part: RegionPartition, xcell: int, ylo: int, yhi: int
-) -> int | None:
-    mid = (ylo + yhi) // 2
-    r = part.region_at(xcell, mid)
-    if r is not None:
-        return r
-    for yy in range(ylo, yhi + 1):
-        r = part.region_at(xcell, yy)
-        if r is not None:
-            return r
-    return None
-
-
-def _probe_horizontal_face(
-    part: RegionPartition, ycell: int, xlo: int, xhi: int
-) -> int | None:
-    mid = (xlo + xhi) // 2
-    r = part.region_at(mid, ycell)
-    if r is not None:
-        return r
-    for xx in range(xlo, xhi + 1):
-        r = part.region_at(xx, ycell)
-        if r is not None:
-            return r
-    return None
-
-
-def build_dual_graph(
-    part: RegionPartition, edges: list[GapEdge]
-) -> DualGraph:
-    """One dual edge per passable gap whose two passage-axis faces probe
-    into distinct regions; self-loops and fully blocked faces are dropped.
-
-    The perpendicular faces are probed as well and kept (after the primary
-    pair) as extra incident regions for query points that land inside a
-    sealed cell.
-    """
-    dual_edges: list[DualEdge] = []
-    incident: dict[int, tuple[int, ...]] = {}
-    grid = part.grid
-    for k, e in enumerate(edges):
-        if e.capacity <= 0:
-            continue
-        r = e.edge_rect
-        cx1, cx2 = grid.line_x(r.x1), grid.line_x(r.x2)
-        cy1, cy2 = grid.line_y(r.y1), grid.line_y(r.y2)
-        left = _probe_vertical_face(part, cx1 - 1, cy1, cy2)
-        right = _probe_vertical_face(part, cx2 + 1, cy1, cy2)
-        below = _probe_horizontal_face(part, cy1 - 1, cx1, cx2)
-        above = _probe_horizontal_face(part, cy2 + 1, cx1, cx2)
-        if e.passage_axis == AXIS_HORIZONTAL:
-            primary, secondary = (left, right), (below, above)
-        else:
-            primary, secondary = (below, above), (left, right)
-        probes: tuple[int, ...] = tuple(
-            dict.fromkeys(
-                reg for reg in (*primary, *secondary) if reg is not None
-            )
+    def cells(r: Rect) -> tuple[slice, slice]:
+        return (
+            slice(grid.line_x(r.x1), grid.line_x(r.x2) + 1),
+            slice(grid.line_y(r.y1), grid.line_y(r.y2) + 1),
         )
-        if probes:
-            incident[k] = probes
-        a, b = primary
-        if a is not None and b is not None and a != b:
-            dual_edges.append(DualEdge(a, b, e.capacity, k))
-    return DualGraph(part.region_count, dual_edges, incident)
+
+    seal_cells = [cells(e.edge_rect) for e in edges]
+    wall_cells = [cells(o.rect) for o in obstacles]
+    free = np.ones(grid.shape, dtype=bool)
+    for sl in (*seal_cells, *wall_cells):
+        free[sl] = False
+    labels, count = ndimage.label(free, structure=_CROSS, output=np.int32)
+    labels -= 1  # scipy numbers regions from 1 and leaves 0 elsewhere
+    for k, sl in enumerate(seal_cells):
+        labels[sl] = -2 - k
+    for sl in wall_cells:
+        labels[sl] = WALL_CELL
+    return RegionPartition(grid, labels, int(count))
 
 
 def seal_links(
@@ -242,8 +156,7 @@ def seal_links(
     path carries exactly the seal's capacity.
     """
     rc = part.region_count
-    wall, sealed, labels = part.wall_owner, part.sealed_owner, part.labels
-    grid = part.grid
+    labels, grid = part.labels, part.grid
     found: dict[tuple[int, int], int] = {}
     for k, e in enumerate(edges):
         if e.capacity <= 0:
@@ -261,13 +174,11 @@ def seal_links(
             (slice(cx1, cx2 + 1), slice(cy1, cy2 + 1)),
         )
         for sx, sy in strips:
-            walls = wall[sx, sy]
-            seals = sealed[sx, sy]
-            free = (walls < 0) & (seals < 0)
-            if free.any():
-                for reg in np.unique(labels[sx, sy][free]).tolist():
-                    found.setdefault((reg - 1, rc + k), e.capacity)
-            for o in np.unique(seals[(seals >= 0) & (walls < 0)]).tolist():
+            strip = labels[sx, sy]
+            for reg in np.unique(strip[strip >= 0]).tolist():
+                found.setdefault((reg, rc + k), e.capacity)
+            for code in np.unique(strip[strip < WALL_CELL]).tolist():
+                o = -2 - code
                 if o == k or edges[o].capacity <= 0:
                     continue
                 f = edges[o].edge_rect

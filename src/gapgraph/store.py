@@ -1,9 +1,9 @@
 """Versioned plain-text serialization of a FeasibilityIndex.
 
-The dump is complete: obstacles, gap edges, grid coordinates, run-length
-encoded cell owners and region labels, dual graph, union-graph links, and
-the DSU's parent/timestamp/rank arrays.  Loading rebuilds the index without
-re-running any geometry, and a reloaded index answers every query exactly
+Format v2 holds the candidate count, obstacles, gap edges, grid
+coordinates, the run-length encoded cell labels, the region count and the
+union-graph links.  Loading re-runs no geometry: it replays the links into
+a fresh persistent DSU, so a reloaded index answers every query exactly
 like the original.  The text is deterministic for a given index.
 """
 
@@ -13,11 +13,11 @@ import numpy as np
 
 from .engine import FeasibilityIndex
 from .geometry import Obstacle, Rect
-from .partition import DoubledGrid, DualEdge, DualGraph, RegionPartition
+from .partition import DoubledGrid, RegionPartition
 from .sweep import GapEdge
 
 FORMAT_TAG = "gapgraph-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _rle(array: np.ndarray) -> list[int]:
@@ -43,7 +43,6 @@ def _unrle(values: list[int], shape: tuple[int, int]) -> np.ndarray:
 def save_index(index: FeasibilityIndex, path: str) -> None:
     part = index.partition
     lines: list[str] = [f"{FORMAT_TAG} {FORMAT_VERSION}"]
-    lines.append(f"fault {int(index.fault)}")
     lines.append(f"candidates {index.candidate_count}")
     lines.append(f"obstacles {len(index.obstacles)}")
     for o in index.obstacles:
@@ -54,22 +53,13 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
         pw = f"{p.x1} {p.y1} {p.x2} {p.y2}" if p is not None else "- - - -"
         r = e.edge_rect
         lines.append(
-            f"{e.i} {e.j} {e.capacity} {e.kind} {e.passage_axis} "
+            f"{e.i} {e.j} {e.capacity} {e.kind} "
             f"{r.x1} {r.y1} {r.x2} {r.y2} {pw}"
         )
     lines.append("gridx " + " ".join(str(v) for v in part.grid.xs))
     lines.append("gridy " + " ".join(str(v) for v in part.grid.ys))
-    lines.append("wall " + " ".join(str(v) for v in _rle(part.wall_owner)))
-    lines.append("sealed " + " ".join(str(v) for v in _rle(part.sealed_owner)))
     lines.append("labels " + " ".join(str(v) for v in _rle(part.labels)))
     lines.append(f"regions {part.region_count}")
-    lines.append(f"dual {len(index.dual.edges)}")
-    for de in index.dual.edges:
-        lines.append(f"{de.a} {de.b} {de.capacity} {de.edge_index}")
-    lines.append(f"incident {len(index.dual.incident)}")
-    for k in sorted(index.dual.incident):
-        regs = " ".join(str(r) for r in index.dual.incident[k])
-        lines.append(f"{k} {regs}")
     lines.append(f"links {len(index.links)}")
     for a, b, cap in index.links:
         lines.append(f"{a} {b} {cap}")
@@ -78,20 +68,21 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
 
 
 def load_index(path: str) -> FeasibilityIndex:
+    """Raises ValueError for anything but a complete v2 file."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    pos = 0
-
-    def take() -> list[str]:
-        nonlocal pos
-        parts = lines[pos].split()
-        pos += 1
-        return parts
-
-    tag = take()
-    if tag[0] != FORMAT_TAG or int(tag[1]) != FORMAT_VERSION:
+    if lines[:1] != [f"{FORMAT_TAG} {FORMAT_VERSION}"]:
         raise ValueError(f"not a {FORMAT_TAG} v{FORMAT_VERSION} file")
-    fault = bool(int(take()[1]))
+    try:
+        return _parse(iter(lines[1:]))
+    except (StopIteration, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt {FORMAT_TAG} file ({exc!r})") from None
+
+
+def _parse(rows) -> FeasibilityIndex:
+    def take() -> list[str]:
+        return next(rows).split()
+
     candidate_count = int(take()[1])
 
     n = int(take()[1])
@@ -105,29 +96,15 @@ def load_index(path: str) -> FeasibilityIndex:
     for _ in range(m):
         parts = take()
         i, j, cap = int(parts[0]), int(parts[1]), int(parts[2])
-        kind, axis = parts[3], parts[4]
-        rect = Rect(*(int(v) for v in parts[5:9]))
-        pathway = None if parts[9] == "-" else Rect(*(int(v) for v in parts[9:13]))
-        edges.append(GapEdge(i, j, cap, rect, pathway, kind, axis))
+        rect = Rect(*(int(v) for v in parts[4:8]))
+        pathway = None if parts[8] == "-" else Rect(*(int(v) for v in parts[8:12]))
+        edges.append(GapEdge(i, j, cap, rect, pathway, parts[3]))
 
     xs = [int(v) for v in take()[1:]]
     ys = [int(v) for v in take()[1:]]
     grid = DoubledGrid(xs, ys)
-    shape = grid.shape
-    wall = _unrle([int(v) for v in take()[1:]], shape)
-    sealed = _unrle([int(v) for v in take()[1:]], shape)
-    labels = _unrle([int(v) for v in take()[1:]], shape)
-    region_count = int(take()[1])
-    part = RegionPartition(grid, wall, sealed, labels, region_count)
-
-    k = int(take()[1])
-    dual_edges = [DualEdge(*(int(v) for v in take())) for _ in range(k)]
-    inc_count = int(take()[1])
-    incident = {}
-    for _ in range(inc_count):
-        vals = [int(v) for v in take()]
-        incident[vals[0]] = tuple(vals[1:])
-    dual = DualGraph(region_count, dual_edges, incident)
+    labels = _unrle([int(v) for v in take()[1:]], grid.shape)
+    part = RegionPartition(grid, labels, int(take()[1]))
 
     nlinks = int(take()[1])
     links = [tuple(int(v) for v in take()) for _ in range(nlinks)]
@@ -137,7 +114,5 @@ def load_index(path: str) -> FeasibilityIndex:
         edges=edges,
         candidate_count=candidate_count,
         partition=part,
-        dual=dual,
         links=links,
-        fault=fault,
     )

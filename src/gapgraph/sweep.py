@@ -35,10 +35,6 @@ KIND_OVERLAP_X = "overlap-x"
 KIND_OVERLAP_Y = "overlap-y"
 KIND_DIAGONAL = "diagonal"
 
-AXIS_HORIZONTAL = "horizontal"
-AXIS_VERTICAL = "vertical"
-
-
 @dataclass(frozen=True, slots=True)
 class GapEdge:
     """A constraint between obstacles i < j.
@@ -47,8 +43,6 @@ class GapEdge:
     edge_rect: normalized contact/gap rectangle, sealed in the partition.
     pathway: region that must be clear for the edge to be relevant
         (None when capacity is 0).
-    passage_axis: direction the robot moves while crossing the gap;
-        perpendicular to the axis of the larger (bottleneck) gap.
     """
 
     i: int
@@ -57,7 +51,6 @@ class GapEdge:
     edge_rect: Rect
     pathway: Rect | None
     kind: str
-    passage_axis: str
 
 
 def _kind(gx: int, gy: int) -> str:
@@ -106,7 +99,6 @@ def make_gap_edge(a: Obstacle, b: Obstacle) -> GapEdge:
         edge_rect=thin_edge_rect(a, b),
         pathway=minimum_pathway(a, b),
         kind=_kind(gx, gy),
-        passage_axis=AXIS_HORIZONTAL if gy >= gx else AXIS_VERTICAL,
     )
 
 

@@ -6,6 +6,8 @@ World files: one shape per line, integer external units.
 Query files: one query per line.
     Q sx sy tx ty d               robot side d > 0
 
+Query coordinates and d are bounded by geometry.COORD_LIMIT in absolute
+value, like world coordinates (checked on ingestion).
 `#` starts a comment; blank lines are skipped.  Writers emit a versioned
 header comment so future format changes stay recognizable.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .engine import Query
-from .geometry import RawShape
+from .geometry import COORD_LIMIT, RawShape
 
 WORLD_HEADER = "# gapgraph world v1"
 QUERY_HEADER = "# gapgraph queries v1"
@@ -80,6 +82,8 @@ def parse_queries(text: str) -> list[Query]:
             raise ValueError(f"line {lineno}: non-integer value") from None
         if d <= 0:
             raise ValueError(f"line {lineno}: robot side must be positive")
+        if max(abs(sx), abs(sy), abs(tx), abs(ty), d) > COORD_LIMIT:
+            raise ValueError(f"line {lineno}: value outside [-2**60, 2**60]")
         queries.append(Query((2 * sx, 2 * sy), (2 * tx, 2 * ty), 2 * d))
     return queries
 

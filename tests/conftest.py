@@ -1,10 +1,12 @@
-"""Shared test helpers: random worlds and random rectilinear polygons."""
+"""Shared test helpers: random worlds, random rectilinear polygons, a seal's
+region links, and the region adjacency graph that the planarity criterion
+bounds."""
 
 from __future__ import annotations
 
 import random
 
-from gapgraph.geometry import Obstacle, RawShape, ingest_world
+from gapgraph.geometry import Obstacle, RawShape, gaps, ingest_world
 
 
 def random_world(rng: random.Random, n: int, span: int = 18) -> list[RawShape]:
@@ -89,3 +91,49 @@ def random_rectilinear_polygon(
         verts = _trace_boundary(cells)
         if verts is not None:
             return verts
+
+
+def linked_regions(links, region_count: int, seal: int) -> dict[int, int]:
+    """Region -> link capacity, for each region that seal node
+    region_count + seal links to."""
+    node = region_count + seal
+    return {a: cap for a, b, cap in links if b == node and a < region_count}
+
+
+def region_adjacency(index) -> set[tuple[int, int]]:
+    """Region pairs (a < b) joined through a passable gap rectangle.
+
+    Each gap is probed one cell beyond its two faces across the passage
+    axis (left/right when the y gap is the bottleneck, below/above
+    otherwise), middle cell first; a pair counts when both probes land in
+    distinct regions.
+    """
+    part = index.partition
+    grid = part.grid
+
+    def probe(cells):
+        for ix, iy in cells:
+            reg = part.region_at(ix, iy)
+            if reg is not None:
+                return reg
+        return None
+
+    pairs = set()
+    for e in index.edges:
+        if e.capacity <= 0:
+            continue
+        r = e.edge_rect
+        cx1, cx2 = grid.line_x(r.x1), grid.line_x(r.x2)
+        cy1, cy2 = grid.line_y(r.y1), grid.line_y(r.y2)
+        gx, gy = gaps(index.obstacles[e.i], index.obstacles[e.j])
+        if gy >= gx:
+            ys = [(cy1 + cy2) // 2, *range(cy1, cy2 + 1)]
+            a = probe((cx1 - 1, y) for y in ys)
+            b = probe((cx2 + 1, y) for y in ys)
+        else:
+            xs = [(cx1 + cx2) // 2, *range(cx1, cx2 + 1)]
+            a = probe((x, cy1 - 1) for x in xs)
+            b = probe((x, cy2 + 1) for x in xs)
+        if a is not None and b is not None and a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return pairs

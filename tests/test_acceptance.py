@@ -19,7 +19,7 @@ from gapgraph.sweep import build_candidates, non_crossing_violations, shadow_swe
 from gapgraph.worldgen import gen_world, world_shapes
 from gapgraph.geometry import SYMMETRIES
 
-from conftest import random_rectilinear_polygon
+from conftest import random_rectilinear_polygon, region_adjacency
 
 KINDS = ("uniform", "cluster", "maze")
 
@@ -101,11 +101,8 @@ def test_acceptance_04_planarity():
             seed,
         )
         regions = index.partition.region_count
-        simple_dual = {
-            (min(d.a, d.b), max(d.a, d.b)) for d in index.dual.edges
-        }
         if regions >= 3:
-            assert len(simple_dual) <= 3 * regions - 6, (kind, n, seed)
+            assert len(region_adjacency(index)) <= 3 * regions - 6, (kind, n, seed)
         worlds += 1
     print(f"ACCEPTANCE 4 planarity: PASS ({worlds} worlds)")
 
@@ -145,9 +142,9 @@ def test_acceptance_05_persistent_dsu():
                     (rng.randrange(n), rng.randrange(n)) for _ in range(30)
                 ]
             for u, v in pairs:
-                assert dsu.connected(u, v, t) == (find_at(u) == find_at(v))
+                assert dsu.connected_with_hops(u, v, t)[0] == (find_at(u) == find_at(v))
         bound = math.ceil(math.log2(n)) + 1
-        worst = max(dsu.find_with_hops(u, dsu.time)[1] for u in range(n))
+        worst = max(dsu.find(u, dsu.time)[1] for u in range(n))
         assert worst <= bound
         sequences += 1
     assert sequences == 1000

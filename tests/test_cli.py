@@ -87,7 +87,6 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "obstacles 5" in printed
         assert "regions 2" in printed
-        assert "dual-edges 1" in printed
 
     def test_build_empty_world(self, tmp_path, capsys):
         world = tmp_path / "empty.txt"
@@ -111,16 +110,6 @@ class TestCli:
         assert main(["query", str(idx), str(queries)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["FEASIBLE", "INFEASIBLE", "INVALID_START", "FEASIBLE"]
-
-    def test_query_jobs_preserve_order(self, room, tmp_path, capsys):
-        idx = tmp_path / "room.idx"
-        main(["build", str(room), "-o", str(idx)])
-        capsys.readouterr()
-        queries = tmp_path / "q.txt"
-        queries.write_text("".join(f"Q 5 5 15 5 {d}\n" for d in (4, 5, 4, 5)))
-        assert main(["query", str(idx), str(queries), "--jobs", "4"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines == ["FEASIBLE", "INFEASIBLE", "FEASIBLE", "INFEASIBLE"]
 
     def test_gen_writes_file(self, tmp_path):
         out = tmp_path / "w.txt"
@@ -156,6 +145,72 @@ class TestCli:
         assert dump.exists()
         body = dump.read_text()
         assert "engine=" in body and "R " in body
+
+    @pytest.mark.parametrize("value, code", [(2**62, 1), (2**60, 0)])
+    def test_build_coordinate_domain(self, value, code, tmp_path, capsys):
+        world = tmp_path / "far.txt"
+        world.write_text(f"R {value - 1} 0 {value} 1\nR {-value} -1 {1 - value} 0\n")
+        assert main(["build", str(world), "-o", str(tmp_path / "far.idx")]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_query_coordinate_domain(self, tmp_path, capsys):
+        world = tmp_path / "far.txt"
+        world.write_text(f"R 0 0 {2**60} 1\n")
+        idx = tmp_path / "far.idx"
+        assert main(["build", str(world), "-o", str(idx)]) == 0
+        queries = tmp_path / "q.txt"
+        edge = 2**60
+        queries.write_text(
+            f"Q {-edge} {-edge} {edge} {edge} {edge}\n"
+            f"Q {edge // 2} 0 {edge} {edge} {edge}\n"
+            "Q 0 9 5 9 1\n"
+        )
+        capsys.readouterr()
+        assert main(["query", str(idx), str(queries)]) == 0
+        verdicts = capsys.readouterr().out.split()
+        assert verdicts == ["FEASIBLE", "INVALID_START", "FEASIBLE"]
+        queries.write_text(f"Q 0 0 {2 * edge} 0 1\n")
+        assert main(["query", str(idx), str(queries)]) == 1
+        assert "line 1" in capsys.readouterr().err
+
+    def test_missing_query_file_exits_1(self, room, tmp_path, capsys):
+        idx = tmp_path / "room.idx"
+        main(["build", str(room), "-o", str(idx)])
+        capsys.readouterr()
+        assert main(["query", str(idx), str(tmp_path / "none.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_verify_rejected_world_exits_1(self, tmp_path, capsys):
+        world = tmp_path / "flat.txt"
+        world.write_text("R 0 0 0 5\n")
+        assert main(["verify", str(world), "--random", "5"]) == 1
+        assert capsys.readouterr().err == "error: input 0: degenerate extent\n"
+
+    @pytest.mark.parametrize("command", ["query", "render"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            ROOM_TEXT,
+            "gapgraph-index 1\nfault 0\ncandidates 0\n",
+            "gapgraph-index 2\ncandidates 0\nobstacles 3\n0 0 0 2 2\n",
+        ],
+        ids=["missing", "not-an-index", "v1-index", "truncated-v2"],
+    )
+    def test_unreadable_index_exits_1(self, command, content, tmp_path, capsys):
+        idx = tmp_path / "x.idx"
+        if content is not None:
+            idx.write_text(content)
+        queries = tmp_path / "q.txt"
+        queries.write_text("Q 0 0 1 1 1\n")
+        if command == "query":
+            args = ["query", str(idx), str(queries)]
+        else:
+            args = ["render", str(idx), "-o", str(tmp_path / "x.svg")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(idx) in err
 
     def test_render_room(self, room, tmp_path):
         idx = tmp_path / "room.idx"

@@ -9,8 +9,8 @@ from gapgraph.dsu import PersistentDsu
 def test_union_returns_timestamps_and_connects():
     dsu = PersistentDsu(4)
     assert dsu.union(1, 2) == 1
-    assert dsu.connected(1, 2, 1)
-    assert not dsu.connected(1, 2, 0)
+    assert dsu.connected_with_hops(1, 2, 1)[0]
+    assert not dsu.connected_with_hops(1, 2, 0)[0]
 
 
 def test_redundant_union_still_advances_time():
@@ -25,13 +25,13 @@ def test_hand_traced_history():
     dsu.union(1, 2)  # t=1
     dsu.union(3, 4)  # t=2
     dsu.union(2, 3)  # t=3
-    assert not dsu.connected(1, 4, 2)
-    assert dsu.connected(1, 4, 3)
+    assert not dsu.connected_with_hops(1, 4, 2)[0]
+    assert dsu.connected_with_hops(1, 4, 3)[0]
 
 
 def test_self_connected_at_time_zero():
     dsu = PersistentDsu(3)
-    assert dsu.connected(2, 2, 0)
+    assert dsu.connected_with_hops(2, 2, 0)[0]
 
 
 def test_invalid_inputs():
@@ -39,9 +39,9 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         dsu.union(0, 3)
     with pytest.raises(ValueError):
-        dsu.connected(0, 1, 1)  # beyond current time
+        dsu.connected_with_hops(0, 1, 1)  # beyond current time
     with pytest.raises(ValueError):
-        dsu.connected(0, 1, -1)
+        dsu.connected_with_hops(0, 1, -1)
 
 
 class _ScratchDsu:
@@ -72,7 +72,7 @@ def test_matches_scratch_recomputation():
             scratch = _ScratchDsu(n, ops[:t])
             for _ in range(20):
                 u, v = rng.randrange(n), rng.randrange(n)
-                assert dsu.connected(u, v, t) == (
+                assert dsu.connected_with_hops(u, v, t)[0] == (
                     scratch.find(u) == scratch.find(v)
                 )
 
@@ -88,7 +88,7 @@ def test_monotone_in_time():
         u, v = rng.randrange(n), rng.randrange(n)
         seen_true = False
         for t in range(dsu.time + 1):
-            now = dsu.connected(u, v, t)
+            now = dsu.connected_with_hops(u, v, t)[0]
             assert now or not seen_true
             seen_true = seen_true or now
 
@@ -101,7 +101,7 @@ def test_find_path_length_within_rank_bound():
         for _ in range(rng.randint(n, 3 * n)):
             dsu.union(rng.randrange(n), rng.randrange(n))
         bound = math.ceil(math.log2(n)) + 1
-        worst = max(dsu.find_with_hops(u, dsu.time)[1] for u in range(n))
+        worst = max(dsu.find(u, dsu.time)[1] for u in range(n))
         assert worst <= bound
 
 

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from gapgraph.cli import inject_fault
 from gapgraph.engine import Query, Verdict, build_index, preprocess
 from gapgraph.geometry import SYMMETRIES, Obstacle, ingest_world
 from gapgraph.oracle import oracle_feasible
 from gapgraph.partition import SEALED
 
-from conftest import random_world
+from conftest import linked_regions, random_world
 
 ROOM = [
     ("rect", (0, 0, 10, 1)),
@@ -82,9 +83,10 @@ class TestSealedRemap:
         assert kind == SEALED
         assert idx.placement_free(p, 8)
         inside, outside = idx.region_of((10, 10), 8), idx.region_of((30, 10), 8)
-        assert set(idx.dual.incident[ref]) == {inside, outside}
+        linked = linked_regions(idx.links, idx.partition.region_count, ref)
+        assert linked.keys() == {inside, outside}
         T = idx.threshold_timestamp(8)
-        assert idx.dsu.connected(inside, outside, T)
+        assert idx.dsu.connected_with_hops(inside, outside, T)[0]
 
     def test_choice_of_incident_region_cannot_change_verdicts(self):
         rng = random.Random(50)
@@ -100,7 +102,7 @@ class TestSealedRemap:
                     continue
                 if d > idx.edges[ref].capacity:
                     continue
-                probes = idx.dual.incident.get(ref, ())
+                probes = linked_regions(idx.links, idx.partition.region_count, ref)
                 if len(probes) < 2:
                     continue
                 t = (rng.randint(-4, 26), rng.randint(-4, 26))
@@ -109,7 +111,7 @@ class TestSealedRemap:
                     continue
                 T = idx.threshold_timestamp(d)
                 results = {
-                    idx.dsu.connected(r, v, T) if r != v else True
+                    idx.dsu.connected_with_hops(r, v, T)[0] if r != v else True
                     for r in probes
                 }
                 assert len(results) == 1
@@ -212,7 +214,7 @@ def test_timeline_capacities_non_increasing():
 
 def test_fault_injection_flips_boundary_verdicts():
     idx = build_index(ROOM)
-    bad = build_index(ROOM, inject_fault=True)
+    bad = inject_fault(build_index(ROOM))
     q = Query((10, 10), (30, 10), 8)  # d equals the gap capacity
     assert idx.feasible(q) is Verdict.FEASIBLE
     assert bad.feasible(q) is Verdict.INFEASIBLE

@@ -6,13 +6,13 @@ from gapgraph.partition import (
     REGION,
     SEALED,
     WALL,
-    build_dual_graph,
+    WALL_CELL,
     build_partition,
     seal_links,
 )
 from gapgraph.sweep import build_gap_edges, make_gap_edge
 
-from conftest import random_obstacles
+from conftest import linked_regions, random_obstacles
 
 # Four obstacles around two pockets, with all five drawn gap rectangles
 # sealed (including two a relevance pass would drop): the left pocket and the
@@ -65,7 +65,7 @@ class TestLocate:
     def test_point_inside_obstacle(self):
         part = build_partition(FOUR_BOXES, FIVE_EDGES)
         kind, ref = part.locate((2, 14))  # inside the tall box
-        assert (kind, ref) == (WALL, 0)
+        assert (kind, ref) == (WALL, WALL_CELL)
 
     def test_point_beyond_all_coordinates(self):
         part = build_partition(FOUR_BOXES, FIVE_EDGES)
@@ -99,8 +99,6 @@ class TestLocate:
                 )
                 if in_wall:
                     assert kind == WALL
-                    o = obs[ref]
-                    assert o.x1 <= p[0] <= o.x2 and o.y1 <= p[1] <= o.y2
                 elif in_seal:
                     assert kind == SEALED
                     r = edges[ref].edge_rect
@@ -117,13 +115,25 @@ def test_every_cell_has_exactly_one_label():
         obs = random_obstacles(rng, rng.randint(1, 10), span=10)
         edges = build_gap_edges(obs)
         part = build_partition(obs, edges)
+        grid = part.grid
+
+        def covers(r, ix, iy):
+            return (
+                grid.line_x(r.x1) <= ix <= grid.line_x(r.x2)
+                and grid.line_y(r.y1) <= iy <= grid.line_y(r.y2)
+            )
+
         nx, ny = part.labels.shape
         for ix in range(nx):
             for iy in range(ny):
-                wall = part.wall_owner[ix, iy] >= 0
-                seal = part.sealed_owner[ix, iy] >= 0
-                region = part.labels[ix, iy] > 0
-                assert wall + seal + region == 1
+                seals = [k for k, e in enumerate(edges) if covers(e.edge_rect, ix, iy)]
+                kind, ref = part.label_at(ix, iy)
+                if any(covers(o.rect, ix, iy) for o in obs):
+                    assert (kind, ref) == (WALL, WALL_CELL)
+                elif seals:
+                    assert (kind, ref) == (SEALED, max(seals))
+                else:
+                    assert kind == REGION and 0 <= ref < part.region_count
 
 
 def test_regions_are_single_connected_components():
@@ -164,14 +174,12 @@ def test_regions_are_single_connected_components():
         assert len(seen) == part.region_count
 
 
-class TestDualGraph:
-    def test_diagonal_pair_in_open_space_no_dual_edges(self):
+class TestSealLinks:
+    def test_diagonal_pair_links_its_one_region(self):
         obs = ingest_world([("rect", (0, 1, 2, 2)), ("rect", (3, 5, 5, 7))])
         edges = [make_gap_edge(obs[0], obs[1])]
         part = build_partition(obs, edges)
-        dual = build_dual_graph(part, edges)
-        assert dual.edges == []
-        assert dual.incident  # the seal still knows its surrounding region
+        assert seal_links(part, edges) == [(0, 1, edges[0].capacity)]
 
     def test_room_with_single_gap(self):
         room = ingest_world(
@@ -185,35 +193,32 @@ class TestDualGraph:
         )
         edges = build_gap_edges(room)
         part = build_partition(room, edges)
-        dual = build_dual_graph(part, edges)
+        links = seal_links(part, edges)
         assert part.region_count == 2
-        assert len(dual.edges) == 1
-        assert dual.edges[0].capacity == 8
+        (gap,) = [k for k, e in enumerate(edges) if e.capacity > 0]
+        assert linked_regions(links, part.region_count, gap) == {0: 8, 1: 8}
 
     def test_pocket_adjacency_through_gap_under_tall_box(self):
         part = build_partition(FOUR_BOXES, FIVE_EDGES)
-        dual = build_dual_graph(part, FIVE_EDGES)
+        links = seal_links(part, FIVE_EDGES)
         _, ra = part.locate(LEFT_POCKET)
         _, rb = part.locate(RIGHT_POCKET)
         crossing = FIVE_PAIRS.index((0, 2))
-        hits = [
-            de for de in dual.edges
-            if de.edge_index == crossing and {de.a, de.b} == {ra, rb}
-        ]
-        assert len(hits) == 1
+        assert {ra, rb} <= linked_regions(links, part.region_count, crossing).keys()
 
-    def test_endpoints_are_distinct_existing_regions(self):
+    def test_region_endpoints_in_range(self):
         rng = random.Random(43)
         for _ in range(30):
             obs = random_obstacles(rng, rng.randint(2, 14), span=10)
             edges = build_gap_edges(obs)
             part = build_partition(obs, edges)
-            dual = build_dual_graph(part, edges)
-            for de in dual.edges:
-                assert de.a != de.b
-                assert 0 <= de.a < part.region_count
-                assert 0 <= de.b < part.region_count
-                assert de.capacity > 0
+            rc = part.region_count
+            for a, b, cap in seal_links(part, edges):
+                assert 0 <= a < b < rc + len(edges)
+                assert b >= rc  # every link ends at a seal node
+                assert 0 < cap <= edges[b - rc].capacity
+                if a < rc:
+                    assert cap == edges[b - rc].capacity
 
 
 def test_seal_links_connect_corridor_chains():

@@ -33,9 +33,3 @@ def test_serialization_is_deterministic(tmp_path):
     save_index(build_index(shapes), str(b))
     assert a.read_bytes() == b.read_bytes()
 
-
-def test_fault_flag_round_trips(tmp_path):
-    shapes = random_world(random.Random(72), 6)
-    path = tmp_path / "f.idx"
-    save_index(build_index(shapes, inject_fault=True), str(path))
-    assert load_index(str(path)).fault
