@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands: build an index from a world file, run query batches, generate
-worlds, cross-check the engine against the brute-force planner, render SVG
-snapshots, and benchmark build/query scaling.
+worlds, cross-check the engine against the brute-force planner, and render
+SVG snapshots.
 
 Exit codes: 0 = ran, 1 = input error, 2 = verification mismatch.
 """
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
-import time
 
 from .engine import FeasibilityIndex, Query, build_index
 from .geometry import RawShape, ingest_world
@@ -182,53 +180,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rows = []
-    for n in args.sizes:
-        text = gen_world("uniform", n, args.seed)
-        shapes = parse_world(text)
-        t0 = time.perf_counter()
-        index = build_index(shapes)
-        build_s = time.perf_counter() - t0
-        rng = random.Random(args.seed + 1)
-        queries = _random_queries(rng, shapes, args.queries)
-        times = []
-        hops = []
-        for q in queries:
-            q0 = time.perf_counter()
-            _, h = index.feasible_with_stats(q)
-            times.append((time.perf_counter() - q0) * 1e6)
-            hops.append(h)
-        dsu_hops = [h for h in hops if h > 0]
-        rows.append(
-            {
-                "n": n,
-                "obstacles": len(index.obstacles),
-                "candidates": index.candidate_count,
-                "edges": sum(1 for e in index.edges if e.capacity > 0),
-                "regions": index.partition.region_count,
-                "build_s": round(build_s, 4),
-                "query_median_us": round(statistics.median(times), 1),
-                "query_p99_us": round(
-                    sorted(times)[max(0, int(len(times) * 0.99) - 1)], 1
-                ),
-                "hops_max": max(hops, default=0),
-                "hops_median": int(statistics.median(dsu_hops)) if dsu_hops else 0,
-            }
-        )
-    cols = list(rows[0].keys())
-    header = ",".join(cols)
-    csv_lines = [header] + [",".join(str(r[c]) for c in cols) for r in rows]
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
-    widths = [max(len(c), *(len(str(r[c])) for r in rows)) for c in cols]
-    print("  ".join(c.rjust(w) for c, w in zip(cols, widths)))
-    for r in rows:
-        print("  ".join(str(r[c]).rjust(w) for c, w in zip(cols, widths)))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gapgraph",
@@ -269,13 +220,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--no-regions", action="store_true")
     p.add_argument("--no-edges", action="store_true")
     p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("bench", help="build/query scaling table")
-    p.add_argument("--sizes", type=int, nargs="+", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--queries", type=int, default=300)
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
     try:

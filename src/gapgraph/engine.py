@@ -4,8 +4,9 @@ Preprocessing runs the edge sweep, seals the surviving gap rectangles into
 a region partition, and replays the capacity-weighted links of the region/
 seal adjacency graph into a persistent DSU in descending capacity order, so
 the component structure at timestamp k reflects exactly the k widest links.
-A query locates both endpoints (a point inside a sealed gap rectangle maps
-to the seal's own node), binary-searches the last timestamp whose capacity
+A query locates both endpoints, which reads their union-graph node ids
+straight off the partition (a point inside a sealed gap rectangle lands on
+the seal's own node), binary-searches the last timestamp whose capacity
 still admits the robot (d <= capacity passes), and asks the DSU.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .dsu import PersistentDsu
 from .geometry import Obstacle, ingest_world
-from .partition import REGION, SEALED, RegionPartition, build_partition, seal_links
+from .partition import WALL_CELL, RegionPartition, build_partition, seal_links
 from .sweep import GapEdge, build_candidates, relevance_filter
 
 
@@ -96,53 +97,37 @@ class FeasibilityIndex:
 
     # -- node lookup -----------------------------------------------------------
 
-    def _body_cell_span(self, coords: list[int], lo: int, hi: int) -> range:
-        """Cell indices geometrically meeting the open interval (lo, hi)."""
-        grid = self.partition.grid
-        ca = grid._cell(coords, lo)
-        cb = grid._cell(coords, hi)
-        if ca % 2 == 0 and coords[ca // 2] == lo:
-            ca += 1  # open interval excludes its boundary line
-        if cb % 2 == 0 and coords[cb // 2] == hi:
-            cb -= 1
-        return range(ca, cb + 1)
-
     def _straddling_node(self, p: tuple[int, int], d: int, seal: int) -> int:
-        """Node for a free placement whose center sits in a sealed cell while
-        d exceeds that gap's capacity: the robot cannot be inside the gap, so
-        its open body straddles the rectangle and lies in one region (or in a
-        wider overlapping gap).  Scan the body's cells for it."""
+        """Node for a free placement whose center sits in seal node `seal`
+        while d exceeds that gap's capacity: the robot cannot be inside the
+        gap, so its open body straddles the rectangle and lies in one region
+        (or in a wider overlapping gap).  Scan the body's cells for it."""
         h = d // 2
         px, py = p
         part = self.partition
-        wide_seal = None
-        for ix in self._body_cell_span(part.grid.xs, px - h, px + h):
-            for iy in self._body_cell_span(part.grid.ys, py - h, py + h):
-                kind, ref = part.label_at(ix, iy)
-                if kind == REGION:
-                    return ref
-                if (
-                    kind == SEALED
-                    and wide_seal is None
-                    and self.edges[ref].capacity >= d
-                ):
-                    wide_seal = ref
-        if wide_seal is not None:
-            return part.region_count + wide_seal
-        return part.region_count + seal
+        grid, labels, rc = part.grid, part.labels, part.region_count
+        wide = seal
+        rows = grid.span(grid.ys, py - h, py + h)
+        for ix in grid.span(grid.xs, px - h, px + h):
+            for iy in rows:
+                node = int(labels[ix, iy])
+                if 0 <= node < rc:
+                    return node
+                if wide == seal and node >= rc and self.edges[node - rc].capacity >= d:
+                    wide = node
+        return wide
 
     def region_of(self, p: tuple[int, int], d: int) -> int | None:
         """Node id for a placement, or None when the placement collides."""
         if not self.placement_free(p, d):
             return None
-        kind, ref = self.partition.locate(p)
-        if kind == REGION:
-            return ref
-        if kind == SEALED:
-            if d <= self.edges[ref].capacity:
-                return self.partition.region_count + ref
-            return self._straddling_node(p, d, ref)
-        raise AssertionError("free placement located inside an obstacle")
+        node = self.partition.locate(p)
+        if node == WALL_CELL:
+            raise AssertionError("free placement located inside an obstacle")
+        k = node - self.partition.region_count
+        if k < 0 or d <= self.edges[k].capacity:
+            return node
+        return self._straddling_node(p, d, node)
 
     # -- queries ---------------------------------------------------------------
 

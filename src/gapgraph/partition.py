@@ -9,8 +9,10 @@ unbounded region.
 
 Cells covered by a closed obstacle are walls; cells covered by a surviving
 edge rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
-into regions.  One int32 array holds every cell's label: a region id >= 0,
-WALL_CELL for walls, or -2-k for cells sealed by gap edge k.
+into regions.  One int32 array holds every cell's node id in the union
+graph the query timeline runs on: region r as r in [0, R), the seal of gap
+edge k as R + k, and WALL_CELL (-1) for walls.  Point location is one
+lookup from a point to its node.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from .sweep import GapEdge
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
-WALL = "wall"
-SEALED = "sealed"
-REGION = "region"
-
 WALL_CELL = -1
 
 
@@ -39,7 +37,8 @@ class DoubledGrid:
     ys: list[int]
 
     @staticmethod
-    def _cell(coords: list[int], v: int) -> int:
+    def cell(coords: list[int], v: int) -> int:
+        """Cell containing v along one axis."""
         i = bisect_left(coords, v)
         if i == len(coords):
             return 2 * len(coords) - 2  # beyond the top sentinel line
@@ -49,21 +48,22 @@ class DoubledGrid:
             return 0  # beyond the bottom sentinel line
         return 2 * i - 1
 
-    def cell_x(self, v: int) -> int:
-        return self._cell(self.xs, v)
-
-    def cell_y(self, v: int) -> int:
-        return self._cell(self.ys, v)
-
-    def line_x(self, v: int) -> int:
-        i = bisect_left(self.xs, v)
-        assert i < len(self.xs) and self.xs[i] == v, "coordinate not on grid"
+    @staticmethod
+    def line(coords: list[int], v: int) -> int:
+        """Cell of the grid line at coordinate v."""
+        i = bisect_left(coords, v)
+        assert i < len(coords) and coords[i] == v, "coordinate not on grid"
         return 2 * i
 
-    def line_y(self, v: int) -> int:
-        i = bisect_left(self.ys, v)
-        assert i < len(self.ys) and self.ys[i] == v, "coordinate not on grid"
-        return 2 * i
+    @classmethod
+    def span(cls, coords: list[int], lo: int, hi: int) -> range:
+        """Cells along one axis that the open interval (lo, hi) meets."""
+        a, b = cls.cell(coords, lo), cls.cell(coords, hi)
+        if a % 2 == 0 and coords[a // 2] == lo:
+            a += 1  # the open interval excludes its boundary lines
+        if b % 2 == 0 and coords[b // 2] == hi:
+            b -= 1
+        return range(a, b + 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,33 +73,20 @@ class DoubledGrid:
 @dataclass
 class RegionPartition:
     grid: DoubledGrid
-    labels: np.ndarray  # int32 [ix, iy]: region id, WALL_CELL, or -2-k for seal k
+    labels: np.ndarray  # int32 [ix, iy]: node id (region r, seal R + k) or WALL_CELL
     region_count: int
 
-    def locate(self, p: tuple[int, int]) -> tuple[str, int]:
-        """(kind, ref) for the cell containing p; O(log n)."""
-        ix = self.grid.cell_x(p[0])
-        iy = self.grid.cell_y(p[1])
-        return self.label_at(ix, iy)
-
-    def label_at(self, ix: int, iy: int) -> tuple[str, int]:
-        """(REGION, id), (SEALED, edge index) or (WALL, WALL_CELL)."""
-        v = int(self.labels[ix, iy])
-        if v >= 0:
-            return REGION, v
-        if v == WALL_CELL:
-            return WALL, WALL_CELL
-        return SEALED, -2 - v
-
-    def region_at(self, ix: int, iy: int) -> int | None:
-        v = int(self.labels[ix, iy])
-        return v if v >= 0 else None
+    def locate(self, p: tuple[int, int]) -> int:
+        """Node id of the cell containing p, or WALL_CELL; O(log n)."""
+        grid = self.grid
+        return int(self.labels[grid.cell(grid.xs, p[0]), grid.cell(grid.ys, p[1])])
 
 
 def build_partition(
     obstacles: list[Obstacle], edges: list[GapEdge]
 ) -> RegionPartition:
-    """Label the doubled grid: regions, then sealed edge rectangles, then walls.
+    """Label the doubled grid with node ids: regions, then sealed edge
+    rectangles, then walls.
 
     The unbounded face gets a region id like any other.  Where gap
     rectangles overlap, the higher edge index owns the cell; walls override
@@ -121,8 +108,8 @@ def build_partition(
 
     def cells(r: Rect) -> tuple[slice, slice]:
         return (
-            slice(grid.line_x(r.x1), grid.line_x(r.x2) + 1),
-            slice(grid.line_y(r.y1), grid.line_y(r.y2) + 1),
+            slice(grid.line(xs, r.x1), grid.line(xs, r.x2) + 1),
+            slice(grid.line(ys, r.y1), grid.line(ys, r.y2) + 1),
         )
 
     seal_cells = [cells(e.edge_rect) for e in edges]
@@ -133,7 +120,7 @@ def build_partition(
     labels, count = ndimage.label(free, structure=_CROSS, output=np.int32)
     labels -= 1  # scipy numbers regions from 1 and leaves 0 elsewhere
     for k, sl in enumerate(seal_cells):
-        labels[sl] = -2 - k
+        labels[sl] = count + k
     for sl in wall_cells:
         labels[sl] = WALL_CELL
     return RegionPartition(grid, labels, int(count))
@@ -144,13 +131,14 @@ def seal_links(
 ) -> list[tuple[int, int, int]]:
     """Capacity-weighted links of the union graph the query timeline runs on.
 
-    Nodes are region ids (0..R-1) plus one node R+k per gap edge k.  A
-    passable seal links to every region its one-cell neighborhood touches
-    (at the seal's capacity) and to every other passable seal whose gap
-    rectangle it overlaps or abuts along a segment (at the smaller of the
-    two capacities): a robot crossing from one gap rectangle into another
-    sits in both at once, so both gaps bound it.  Rectangles meeting only
-    at a corner point do not link; a point contact can pinch the robot.
+    Nodes are the partition's labels: region ids (0..R-1) plus one node
+    R+k per gap edge k.  A passable seal links to every region its one-cell
+    neighborhood touches (at the seal's capacity) and to every other
+    passable seal whose gap rectangle it overlaps or abuts along a segment
+    (at the smaller of the two capacities): a robot crossing from one gap
+    rectangle into another sits in both at once, so both gaps bound it.
+    Rectangles meeting only at a corner point do not link; a point contact
+    can pinch the robot.
 
     Probe-based region pairs need no separate links: a region-seal-region
     path carries exactly the seal's capacity.
@@ -162,8 +150,8 @@ def seal_links(
         if e.capacity <= 0:
             continue
         r = e.edge_rect
-        cx1, cx2 = grid.line_x(r.x1), grid.line_x(r.x2)
-        cy1, cy2 = grid.line_y(r.y1), grid.line_y(r.y2)
+        cx1, cx2 = grid.line(grid.xs, r.x1), grid.line(grid.xs, r.x2)
+        cy1, cy2 = grid.line(grid.ys, r.y1), grid.line(grid.ys, r.y2)
         # Four one-cell-out face strips (diagonal corners excluded) plus the
         # rectangle's own cells, which overlapping seals may own.
         strips = (
@@ -175,10 +163,11 @@ def seal_links(
         )
         for sx, sy in strips:
             strip = labels[sx, sy]
-            for reg in np.unique(strip[strip >= 0]).tolist():
-                found.setdefault((reg, rc + k), e.capacity)
-            for code in np.unique(strip[strip < WALL_CELL]).tolist():
-                o = -2 - code
+            for node in np.unique(strip[strip != WALL_CELL]).tolist():
+                if node < rc:
+                    found.setdefault((node, rc + k), e.capacity)
+                    continue
+                o = node - rc
                 if o == k or edges[o].capacity <= 0:
                     continue
                 f = edges[o].edge_rect

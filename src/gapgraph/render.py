@@ -22,19 +22,19 @@ def _region_color(region_id: int) -> str:
 def _region_runs(index: FeasibilityIndex):
     """Positive-area per-row runs of same-region cells: (region, x1, y1, x2, y2)."""
     part = index.partition
-    grid = part.grid
-    xs, ys = grid.xs, grid.ys
-    nx, ny = part.labels.shape
+    xs, ys = part.grid.xs, part.grid.ys
+    labels = part.labels
+    nx, ny = labels.shape
     for iy in range(1, ny, 2):  # interval rows only; lines have no area
         ylo, yhi = ys[(iy - 1) // 2], ys[(iy + 1) // 2]
         ix = 1
         while ix < nx:
-            reg = part.region_at(ix, iy)
-            if reg is None:
+            reg = int(labels[ix, iy])
+            if not 0 <= reg < part.region_count:
                 ix += 2
                 continue
             start = ix
-            while ix + 2 < nx and part.region_at(ix + 2, iy) == reg:
+            while ix + 2 < nx and labels[ix + 2, iy] == reg:
                 ix += 2
             yield reg, xs[(start - 1) // 2], ylo, xs[(ix + 1) // 2], yhi
             ix += 2

@@ -1,10 +1,13 @@
 """Versioned plain-text serialization of a FeasibilityIndex.
 
-Format v2 holds the candidate count, obstacles, gap edges, grid
-coordinates, the run-length encoded cell labels, the region count and the
-union-graph links.  Loading re-runs no geometry: it replays the links into
-a fresh persistent DSU, so a reloaded index answers every query exactly
-like the original.  The text is deterministic for a given index.
+Format v3 holds the candidate count, obstacles, gap edges, grid
+coordinates, the run-length encoded cell labels (each cell's union-graph
+node id, or -1 for walls), the region count and the union-graph links.
+Loading re-runs no geometry: it checks that every label names a node and
+replays the links into a fresh persistent DSU, so a reloaded index answers
+every query exactly like the original.  The text is deterministic for a
+given index.  Files of earlier versions, whose labels meant something
+else, are rejected.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ import numpy as np
 
 from .engine import FeasibilityIndex
 from .geometry import Obstacle, Rect
-from .partition import DoubledGrid, RegionPartition
+from .partition import WALL_CELL, DoubledGrid, RegionPartition
 from .sweep import GapEdge
 
 FORMAT_TAG = "gapgraph-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _rle(array: np.ndarray) -> list[int]:
@@ -33,11 +36,13 @@ def _rle(array: np.ndarray) -> list[int]:
     return out
 
 
-def _unrle(values: list[int], shape: tuple[int, int]) -> np.ndarray:
-    counts = values[0::2]
-    vals = values[1::2]
-    flat = np.repeat(np.array(vals, dtype=np.int32), counts)
-    return flat.reshape(shape)
+def _unrle(values: list[int], shape: tuple[int, int], nodes: int) -> np.ndarray:
+    """Cell labels from (count, label) runs; each label must name one of
+    `nodes` union-graph nodes or be WALL_CELL."""
+    labels = np.array(values[1::2], dtype=np.int32)
+    if labels.size and (labels.min() < WALL_CELL or labels.max() >= nodes):
+        raise ValueError(f"cell label outside [{WALL_CELL}, {nodes})")
+    return np.repeat(labels, values[0::2]).reshape(shape)
 
 
 def save_index(index: FeasibilityIndex, path: str) -> None:
@@ -68,14 +73,14 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
 
 
 def load_index(path: str) -> FeasibilityIndex:
-    """Raises ValueError for anything but a complete v2 file."""
+    """Raises ValueError for anything but a complete, consistent v3 file."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if lines[:1] != [f"{FORMAT_TAG} {FORMAT_VERSION}"]:
         raise ValueError(f"not a {FORMAT_TAG} v{FORMAT_VERSION} file")
     try:
         return _parse(iter(lines[1:]))
-    except (StopIteration, IndexError, TypeError, ValueError) as exc:
+    except (StopIteration, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt {FORMAT_TAG} file ({exc!r})") from None
 
 
@@ -103,8 +108,10 @@ def _parse(rows) -> FeasibilityIndex:
     xs = [int(v) for v in take()[1:]]
     ys = [int(v) for v in take()[1:]]
     grid = DoubledGrid(xs, ys)
-    labels = _unrle([int(v) for v in take()[1:]], grid.shape)
-    part = RegionPartition(grid, labels, int(take()[1]))
+    runs = [int(v) for v in take()[1:]]
+    region_count = int(take()[1])
+    labels = _unrle(runs, grid.shape, region_count + len(edges))
+    part = RegionPartition(grid, labels, region_count)
 
     nlinks = int(take()[1])
     links = [tuple(int(v) for v in take()) for _ in range(nlinks)]

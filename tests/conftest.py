@@ -113,8 +113,8 @@ def region_adjacency(index) -> set[tuple[int, int]]:
 
     def probe(cells):
         for ix, iy in cells:
-            reg = part.region_at(ix, iy)
-            if reg is not None:
+            reg = int(part.labels[ix, iy])
+            if 0 <= reg < part.region_count:
                 return reg
         return None
 
@@ -123,8 +123,8 @@ def region_adjacency(index) -> set[tuple[int, int]]:
         if e.capacity <= 0:
             continue
         r = e.edge_rect
-        cx1, cx2 = grid.line_x(r.x1), grid.line_x(r.x2)
-        cy1, cy2 = grid.line_y(r.y1), grid.line_y(r.y2)
+        cx1, cx2 = grid.line(grid.xs, r.x1), grid.line(grid.xs, r.x2)
+        cy1, cy2 = grid.line(grid.ys, r.y1), grid.line(grid.ys, r.y2)
         gx, gy = gaps(index.obstacles[e.i], index.obstacles[e.j])
         if gy >= gx:
             ys = [(cy1 + cy2) // 2, *range(cy1, cy2 + 1)]

@@ -54,7 +54,7 @@ def test_index_attributes():
     assert isinstance(part, partition.RegionPartition)
     assert isinstance(part.labels, np.ndarray) and part.labels.size > 0
     assert isinstance(part.region_count, int)
-    assert part.locate((10, 10)) == (partition.REGION, part.locate((12, 12))[1])
+    assert 0 <= part.locate((10, 10)) == part.locate((12, 12)) < part.region_count
     q = Query((10, 10), (30, 10), 8)
     verdict, hops = index.feasible_with_stats(q)
     assert index.feasible(q) is verdict is Verdict.FEASIBLE

@@ -21,6 +21,20 @@ R 9 0 10 4
 R 9 8 10 10
 """
 
+#: An index of the empty world (one region, no edges) with the given
+#: format version and run-length encoded cell labels.
+EMPTY_INDEX = """\
+gapgraph-index {version}
+candidates 0
+obstacles 0
+edges 0
+gridx -2 0 2
+gridy -2 0 2
+labels {labels}
+regions 1
+links 0
+"""
+
 
 class TestWorldIO:
     def test_round_trip(self):
@@ -194,9 +208,23 @@ class TestCli:
             None,
             ROOM_TEXT,
             "gapgraph-index 1\nfault 0\ncandidates 0\n",
+            EMPTY_INDEX.format(version=2, labels="25 0"),
             "gapgraph-index 2\ncandidates 0\nobstacles 3\n0 0 0 2 2\n",
+            "gapgraph-index 3\ncandidates 0\nobstacles 3\n0 0 0 2 2\n",
+            # the centre cell names node 1, a seal of an edge that is not there
+            EMPTY_INDEX.format(version=3, labels="12 0 1 1 12 0"),
+            EMPTY_INDEX.format(version=3, labels="25 4294967296"),
         ],
-        ids=["missing", "not-an-index", "v1-index", "truncated-v2"],
+        ids=[
+            "missing",
+            "not-an-index",
+            "v1-index",
+            "v2-index",
+            "truncated-v2",
+            "truncated-v3",
+            "label-out-of-range",
+            "label-overflow",
+        ],
     )
     def test_unreadable_index_exits_1(self, command, content, tmp_path, capsys):
         idx = tmp_path / "x.idx"
@@ -265,20 +293,3 @@ class TestCli:
         printed = capsys.readouterr().out
         candidates = int(printed.split("candidates ")[1].split()[0])
         assert candidates <= 4000
-
-    def test_bench_rows_and_determinism(self, tmp_path, capsys):
-        csv1 = tmp_path / "b1.csv"
-        csv2 = tmp_path / "b2.csv"
-        args = ["bench", "--sizes", "20", "50", "--seed", "3", "--queries", "40"]
-        assert main(args + ["--csv", str(csv1)]) == 0
-        assert main(args + ["--csv", str(csv2)]) == 0
-        capsys.readouterr()
-        rows1 = [l.split(",") for l in csv1.read_text().splitlines()]
-        rows2 = [l.split(",") for l in csv2.read_text().splitlines()]
-        assert len(rows1) == 3  # header + 2 sizes
-        header = rows1[0]
-        timing = {header.index(c) for c in ("build_s", "query_median_us", "query_p99_us")}
-        for r1, r2 in zip(rows1, rows2):
-            for k, (v1, v2) in enumerate(zip(r1, r2)):
-                if k not in timing:
-                    assert v1 == v2

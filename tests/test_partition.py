@@ -2,14 +2,7 @@ import random
 from collections import deque
 
 from gapgraph.geometry import Rect, ingest_world
-from gapgraph.partition import (
-    REGION,
-    SEALED,
-    WALL,
-    WALL_CELL,
-    build_partition,
-    seal_links,
-)
+from gapgraph.partition import WALL_CELL, build_partition, seal_links
 from gapgraph.sweep import build_gap_edges, make_gap_edge
 
 from conftest import linked_regions, random_obstacles
@@ -48,9 +41,9 @@ def test_single_obstacle_single_region():
 
 def test_pockets_are_distinct_regions():
     part = build_partition(FOUR_BOXES, FIVE_EDGES)
-    kind_a, ra = part.locate(LEFT_POCKET)
-    kind_b, rb = part.locate(RIGHT_POCKET)
-    assert kind_a == kind_b == REGION
+    ra = part.locate(LEFT_POCKET)
+    rb = part.locate(RIGHT_POCKET)
+    assert 0 <= ra < part.region_count and 0 <= rb < part.region_count
     assert ra != rb
 
 
@@ -64,20 +57,18 @@ def test_sealed_diagonal_pair_leaves_one_region():
 class TestLocate:
     def test_point_inside_obstacle(self):
         part = build_partition(FOUR_BOXES, FIVE_EDGES)
-        kind, ref = part.locate((2, 14))  # inside the tall box
-        assert (kind, ref) == (WALL, WALL_CELL)
+        assert part.locate((2, 14)) == WALL_CELL  # inside the tall box
 
     def test_point_beyond_all_coordinates(self):
         part = build_partition(FOUR_BOXES, FIVE_EDGES)
-        kind, outer = part.locate((10_000, -10_000))
-        assert kind == REGION
-        kind2, outer2 = part.locate((-9_999, 9_999))
-        assert (kind2, outer2) == (REGION, outer)
+        outer = part.locate((10_000, -10_000))
+        assert 0 <= outer < part.region_count
+        assert part.locate((-9_999, 9_999)) == outer
 
     def test_point_inside_sealed_gap(self):
         part = build_partition(FOUR_BOXES, FIVE_EDGES)
-        kind, ref = part.locate((4, 6))  # interior of the (0,2) gap rect
-        assert (kind, ref) == (SEALED, FIVE_PAIRS.index((0, 2)))
+        node = part.locate((4, 6))  # interior of the (0,2) gap rect
+        assert node == part.region_count + FIVE_PAIRS.index((0, 2))
 
     def test_agrees_with_direct_containment(self):
         rng = random.Random(40)
@@ -86,9 +77,10 @@ class TestLocate:
             obs = random_obstacles(rng, rng.randint(1, 12), span=10)
             edges = build_gap_edges(obs)
             part = build_partition(obs, edges)
+            rc = part.region_count
             for _ in range(900):
                 p = (rng.randint(-6, 30), rng.randint(-6, 30))
-                kind, ref = part.locate(p)
+                node = part.locate(p)
                 in_wall = any(
                     o.x1 <= p[0] <= o.x2 and o.y1 <= p[1] <= o.y2 for o in obs
                 )
@@ -98,13 +90,13 @@ class TestLocate:
                     for e in edges
                 )
                 if in_wall:
-                    assert kind == WALL
+                    assert node == WALL_CELL
                 elif in_seal:
-                    assert kind == SEALED
-                    r = edges[ref].edge_rect
+                    assert rc <= node < rc + len(edges)
+                    r = edges[node - rc].edge_rect
                     assert r.x1 <= p[0] <= r.x2 and r.y1 <= p[1] <= r.y2
                 else:
-                    assert kind == REGION
+                    assert 0 <= node < rc
                 checked += 1
         assert checked >= 10_000
 
@@ -119,21 +111,21 @@ def test_every_cell_has_exactly_one_label():
 
         def covers(r, ix, iy):
             return (
-                grid.line_x(r.x1) <= ix <= grid.line_x(r.x2)
-                and grid.line_y(r.y1) <= iy <= grid.line_y(r.y2)
+                grid.line(grid.xs, r.x1) <= ix <= grid.line(grid.xs, r.x2)
+                and grid.line(grid.ys, r.y1) <= iy <= grid.line(grid.ys, r.y2)
             )
 
         nx, ny = part.labels.shape
         for ix in range(nx):
             for iy in range(ny):
                 seals = [k for k, e in enumerate(edges) if covers(e.edge_rect, ix, iy)]
-                kind, ref = part.label_at(ix, iy)
+                node = part.labels[ix, iy]
                 if any(covers(o.rect, ix, iy) for o in obs):
-                    assert (kind, ref) == (WALL, WALL_CELL)
+                    assert node == WALL_CELL
                 elif seals:
-                    assert (kind, ref) == (SEALED, max(seals))
+                    assert node == part.region_count + max(seals)
                 else:
-                    assert kind == REGION and 0 <= ref < part.region_count
+                    assert 0 <= node < part.region_count
 
 
 def test_regions_are_single_connected_components():
@@ -142,10 +134,15 @@ def test_regions_are_single_connected_components():
         obs = random_obstacles(rng, rng.randint(1, 10), span=10)
         part = build_partition(obs, build_gap_edges(obs))
         nx, ny = part.labels.shape
+
+        def region_at(ix, iy):
+            node = int(part.labels[ix, iy])
+            return node if 0 <= node < part.region_count else None
+
         seen = set()
         for ix in range(nx):
             for iy in range(ny):
-                reg = part.region_at(ix, iy)
+                reg = region_at(ix, iy)
                 if reg is None or reg in seen:
                     continue
                 seen.add(reg)
@@ -160,7 +157,7 @@ def test_regions_are_single_connected_components():
                             0 <= nxt[0] < nx
                             and 0 <= nxt[1] < ny
                             and nxt not in hit
-                            and part.region_at(*nxt) == reg
+                            and region_at(*nxt) == reg
                         ):
                             hit.add(nxt)
                             frontier.append(nxt)
@@ -168,7 +165,7 @@ def test_regions_are_single_connected_components():
                     1
                     for ax in range(nx)
                     for ay in range(ny)
-                    if part.region_at(ax, ay) == reg
+                    if region_at(ax, ay) == reg
                 )
                 assert total == len(hit)
         assert len(seen) == part.region_count
@@ -201,8 +198,8 @@ class TestSealLinks:
     def test_pocket_adjacency_through_gap_under_tall_box(self):
         part = build_partition(FOUR_BOXES, FIVE_EDGES)
         links = seal_links(part, FIVE_EDGES)
-        _, ra = part.locate(LEFT_POCKET)
-        _, rb = part.locate(RIGHT_POCKET)
+        ra = part.locate(LEFT_POCKET)
+        rb = part.locate(RIGHT_POCKET)
         crossing = FIVE_PAIRS.index((0, 2))
         assert {ra, rb} <= linked_regions(links, part.region_count, crossing).keys()
 
@@ -247,7 +244,6 @@ def test_seal_links_connect_corridor_chains():
     for a, b, cap in links:
         if cap >= 2:
             parent[find(a)] = find(b)
-    kind, middle = part.locate((21, 21))
-    assert kind == SEALED
-    outer = part.locate((0, 0))[1]
-    assert find(rc + middle) == find(outer)
+    middle = part.locate((21, 21))
+    assert middle >= rc  # a seal node
+    assert find(middle) == find(part.locate((0, 0)))
