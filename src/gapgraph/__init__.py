@@ -30,11 +30,9 @@ from .sweep import (
     build_candidates,
     build_gap_edges,
     minimum_pathway,
-    non_crossing_violations,
     relevance_filter,
     shadow_contains,
     shadow_sweep_pass,
-    strictly_clear,
 )
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "gaps",
     "ingest_world",
     "minimum_pathway",
-    "non_crossing_violations",
     "oracle_feasible",
     "oracle_relevant_edges",
     "placement_free",
@@ -72,7 +69,6 @@ __all__ = [
     "relevance_filter",
     "shadow_contains",
     "shadow_sweep_pass",
-    "strictly_clear",
     "thin_edge_rect",
 ]
 

@@ -45,6 +45,15 @@ def _load_queries(path: str) -> list[Query]:
     return _load(path, lambda p: parse_queries(_read(p)))
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; an unwritable path exits 1 with a message."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _build(shapes: list[RawShape]) -> FeasibilityIndex:
     try:
         return build_index(shapes)
@@ -62,11 +71,13 @@ def inject_fault(index: FeasibilityIndex) -> FeasibilityIndex:
 
 def cmd_build(args: argparse.Namespace) -> int:
     index = _build(_load_world(args.world))
-    save_index(index, args.out)
-    passable = sum(1 for e in index.edges if e.capacity > 0)
+    try:
+        save_index(index, args.out)
+    except OSError as exc:
+        raise SystemExit(f"error: {exc}")
     print(f"obstacles {len(index.obstacles)}")
     print(f"candidates {index.candidate_count}")
-    print(f"edges {passable}")
+    print(f"edges {len(index.edges)}")
     print(f"regions {index.partition.region_count}")
     return 0
 
@@ -85,8 +96,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -158,10 +168,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
     q, engine_v, oracle_v = first_bad
     minimal = _minimize(shapes, q, disagrees)
-    with open(args.dump, "w", encoding="ascii") as fh:
-        fh.write(f"# engine={engine_v.value} oracle={oracle_v.value}\n")
-        fh.write(f"# query halfunits: s={q.s} t={q.t} d={q.d}\n")
-        fh.write(format_world(minimal))
+    _write(
+        args.dump,
+        f"# engine={engine_v.value} oracle={oracle_v.value}\n"
+        f"# query halfunits: s={q.s} t={q.t} d={q.d}\n" + format_world(minimal),
+    )
     print(f"mismatch: engine={engine_v.value} oracle={oracle_v.value}", file=sys.stderr)
     print(f"minimized reproduction written to {args.dump}", file=sys.stderr)
     return 2
@@ -175,8 +186,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         show_edges=not args.no_edges,
         show_pathways=args.show_pathways,
     )
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(svg)
+    _write(args.out, svg)
     return 0
 
 

@@ -1,9 +1,11 @@
 """Feasibility index: preprocess once, answer (s, t, d) queries fast.
 
-Preprocessing runs the edge sweep, seals the surviving gap rectangles into
-a region partition, and replays the capacity-weighted links of the region/
-seal adjacency graph into a persistent DSU in descending capacity order, so
-the component structure at timestamp k reflects exactly the k widest links.
+Preprocessing runs the edge sweep, which keeps only passable gaps (pairs
+of obstacles that meet leave nothing to seal: walls cover their contact),
+seals the gap rectangles into a region partition, and replays the
+capacity-weighted links of the region/seal adjacency graph into a
+persistent DSU in descending capacity order, so the component structure at
+timestamp k reflects exactly the k widest links.
 A query locates both endpoints, which reads their union-graph node ids
 straight off the partition (a point inside a sealed gap rectangle lands on
 the seal's own node), binary-searches the last timestamp whose capacity

@@ -176,47 +176,3 @@ def placement_free(p: tuple[int, int], d: int, obstacles: Iterable[Obstacle]) ->
         if o.x1 - h < px < o.x2 + h and o.y1 - h < py < o.y2 + h:
             return False
     return True
-
-
-def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
-    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (v > 0) - (v < 0)
-
-
-def segments_properly_cross(
-    p: tuple[int, int],
-    q: tuple[int, int],
-    r: tuple[int, int],
-    s: tuple[int, int],
-) -> bool:
-    """Exact test for a transversal crossing at an interior point of both
-    segments; touching endpoints and collinear overlap do not count."""
-    d1 = _orient(*r, *s, *p)
-    d2 = _orient(*r, *s, *q)
-    d3 = _orient(*p, *q, *r)
-    d4 = _orient(*p, *q, *s)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
-def segment_meets_rect(p: tuple[int, int], q: tuple[int, int], r: Rect) -> bool:
-    """Exact closed intersection test between segment pq and rectangle r."""
-    if (
-        max(p[0], q[0]) < r.x1
-        or min(p[0], q[0]) > r.x2
-        or max(p[1], q[1]) < r.y1
-        or min(p[1], q[1]) > r.y2
-    ):
-        return False
-    for x, y in (p, q):
-        if r.x1 <= x <= r.x2 and r.y1 <= y <= r.y2:
-            return True
-    corners = ((r.x1, r.y1), (r.x2, r.y1), (r.x2, r.y2), (r.x1, r.y2))
-    for k in range(4):
-        c1, c2 = corners[k], corners[(k + 1) % 4]
-        d1 = _orient(*p, *q, *c1)
-        d2 = _orient(*p, *q, *c2)
-        d3 = _orient(*c1, *c2, *p)
-        d4 = _orient(*c1, *c2, *q)
-        if d1 * d2 <= 0 and d3 * d4 <= 0:
-            return True
-    return False

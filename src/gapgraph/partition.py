@@ -5,10 +5,12 @@ as cells (even cell indices are zero-thickness lines, odd are intervals),
 so zero-width gap rectangles and flush boundaries need no epsilons.  One
 sentinel coordinate beyond each extreme keeps the outermost ring free;
 points outside the grid clamp onto that ring, which always belongs to the
-unbounded region.
+unbounded region.  The grid lines are exactly the obstacle and gap
+rectangle coordinates (build_grid), so the grid is rebuilt from the
+obstacles and edges, never stored.
 
-Cells covered by a closed obstacle are walls; cells covered by a surviving
-edge rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
+Cells covered by a closed obstacle are walls; cells covered by a gap edge's
+rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
 into regions.  One int32 array holds every cell's node id in the union
 graph the query timeline runs on: region r as r in [0, R), the seal of gap
 edge k as R + k, and WALL_CELL (-1) for walls.  Point location is one
@@ -82,16 +84,9 @@ class RegionPartition:
         return int(self.labels[grid.cell(grid.xs, p[0]), grid.cell(grid.ys, p[1])])
 
 
-def build_partition(
-    obstacles: list[Obstacle], edges: list[GapEdge]
-) -> RegionPartition:
-    """Label the doubled grid with node ids: regions, then sealed edge
-    rectangles, then walls.
-
-    The unbounded face gets a region id like any other.  Where gap
-    rectangles overlap, the higher edge index owns the cell; walls override
-    seals.
-    """
+def build_grid(obstacles: list[Obstacle], edges: list[GapEdge]) -> DoubledGrid:
+    """The grid over every obstacle and gap rectangle coordinate, plus one
+    sentinel beyond each extreme."""
     coords_x: set[int] = set()
     coords_y: set[int] = set()
     for o in obstacles:
@@ -104,7 +99,21 @@ def build_partition(
         coords_x, coords_y = {0}, {0}
     xs = sorted({min(coords_x) - 2, *coords_x, max(coords_x) + 2})
     ys = sorted({min(coords_y) - 2, *coords_y, max(coords_y) + 2})
-    grid = DoubledGrid(xs, ys)
+    return DoubledGrid(xs, ys)
+
+
+def build_partition(
+    obstacles: list[Obstacle], edges: list[GapEdge]
+) -> RegionPartition:
+    """Label the doubled grid with node ids: regions, then sealed edge
+    rectangles, then walls.
+
+    The unbounded face gets a region id like any other.  Where gap
+    rectangles overlap, the higher edge index owns the cell; walls override
+    seals.
+    """
+    grid = build_grid(obstacles, edges)
+    xs, ys = grid.xs, grid.ys
 
     def cells(r: Rect) -> tuple[slice, slice]:
         return (
@@ -132,9 +141,9 @@ def seal_links(
     """Capacity-weighted links of the union graph the query timeline runs on.
 
     Nodes are the partition's labels: region ids (0..R-1) plus one node
-    R+k per gap edge k.  A passable seal links to every region its one-cell
+    R+k per gap edge k.  A seal links to every region its one-cell
     neighborhood touches (at the seal's capacity) and to every other
-    passable seal whose gap rectangle it overlaps or abuts along a segment
+    seal whose gap rectangle it overlaps or abuts along a segment
     (at the smaller of the two capacities): a robot crossing from one gap
     rectangle into another sits in both at once, so both gaps bound it.
     Rectangles meeting only at a corner point do not link; a point contact
@@ -147,8 +156,6 @@ def seal_links(
     labels, grid = part.labels, part.grid
     found: dict[tuple[int, int], int] = {}
     for k, e in enumerate(edges):
-        if e.capacity <= 0:
-            continue
         r = e.edge_rect
         cx1, cx2 = grid.line(grid.xs, r.x1), grid.line(grid.xs, r.x2)
         cy1, cy2 = grid.line(grid.ys, r.y1), grid.line(grid.ys, r.y2)
@@ -168,7 +175,7 @@ def seal_links(
                     found.setdefault((node, rc + k), e.capacity)
                     continue
                 o = node - rc
-                if o == k or edges[o].capacity <= 0:
+                if o == k:
                     continue
                 f = edges[o].edge_rect
                 ox = min(r.x2, f.x2) - max(r.x1, f.x1)

@@ -90,8 +90,6 @@ def render_svg(
             )
     if show_pathways:
         for e in index.edges:
-            if e.pathway is None:
-                continue
             p = e.pathway
             out.append(
                 f'<rect {rect_attrs(p.x1, p.y1, p.x2, p.y2)} fill="none" '

@@ -1,13 +1,15 @@
 """Versioned plain-text serialization of a FeasibilityIndex.
 
-Format v3 holds the candidate count, obstacles, gap edges, grid
-coordinates, the run-length encoded cell labels (each cell's union-graph
-node id, or -1 for walls), the region count and the union-graph links.
-Loading re-runs no geometry: it checks that every label names a node and
-replays the links into a fresh persistent DSU, so a reloaded index answers
-every query exactly like the original.  The text is deterministic for a
-given index.  Files of earlier versions, whose labels meant something
-else, are rejected.
+Format v4 holds only what cannot be rebuilt cheaply: the candidate count,
+the obstacles (`x1 y1 x2 y2`, the id is the line's position), the gap edges
+as obstacle pairs (`i j`), the run-length encoded cell labels (each cell's
+union-graph node id, or -1 for walls), the region count and the union-graph
+links.  Loading rebuilds each edge from its pair and the grid from the
+obstacles and edges, the same functions the build uses; it rejects a pair
+that is out of order or out of range or has no passage, and a label that
+names no node.  It replays the links into a fresh persistent DSU, so a
+reloaded index answers every query exactly like the original.  The text is
+deterministic for a given index.  Files of earlier versions are rejected.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import FeasibilityIndex
-from .geometry import Obstacle, Rect
-from .partition import WALL_CELL, DoubledGrid, RegionPartition
-from .sweep import GapEdge
+from .geometry import Obstacle
+from .partition import WALL_CELL, RegionPartition, build_grid
+from .sweep import make_gap_edge
 
 FORMAT_TAG = "gapgraph-index"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _rle(array: np.ndarray) -> list[int]:
@@ -51,18 +53,10 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
     lines.append(f"candidates {index.candidate_count}")
     lines.append(f"obstacles {len(index.obstacles)}")
     for o in index.obstacles:
-        lines.append(f"{o.id} {o.x1} {o.y1} {o.x2} {o.y2}")
+        lines.append(f"{o.x1} {o.y1} {o.x2} {o.y2}")
     lines.append(f"edges {len(index.edges)}")
     for e in index.edges:
-        p = e.pathway
-        pw = f"{p.x1} {p.y1} {p.x2} {p.y2}" if p is not None else "- - - -"
-        r = e.edge_rect
-        lines.append(
-            f"{e.i} {e.j} {e.capacity} {e.kind} "
-            f"{r.x1} {r.y1} {r.x2} {r.y2} {pw}"
-        )
-    lines.append("gridx " + " ".join(str(v) for v in part.grid.xs))
-    lines.append("gridy " + " ".join(str(v) for v in part.grid.ys))
+        lines.append(f"{e.i} {e.j}")
     lines.append("labels " + " ".join(str(v) for v in _rle(part.labels)))
     lines.append(f"regions {part.region_count}")
     lines.append(f"links {len(index.links)}")
@@ -73,7 +67,7 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
 
 
 def load_index(path: str) -> FeasibilityIndex:
-    """Raises ValueError for anything but a complete, consistent v3 file."""
+    """Raises ValueError for anything but a complete, consistent v4 file."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if lines[:1] != [f"{FORMAT_TAG} {FORMAT_VERSION}"]:
@@ -85,36 +79,34 @@ def load_index(path: str) -> FeasibilityIndex:
 
 
 def _parse(rows) -> FeasibilityIndex:
-    def take() -> list[str]:
-        return next(rows).split()
+    def take() -> list[int]:
+        return [int(v) for v in next(rows).split()]
 
-    candidate_count = int(take()[1])
+    def count() -> int:
+        return int(next(rows).split()[1])
 
-    n = int(take()[1])
+    candidate_count = count()
+
+    n = count()
     obstacles = []
-    for _ in range(n):
-        oid, x1, y1, x2, y2 = (int(v) for v in take())
-        obstacles.append(Obstacle(oid, x1, y1, x2, y2))
+    for k in range(n):
+        x1, y1, x2, y2 = take()
+        obstacles.append(Obstacle(k, x1, y1, x2, y2))
 
-    m = int(take()[1])
     edges = []
-    for _ in range(m):
-        parts = take()
-        i, j, cap = int(parts[0]), int(parts[1]), int(parts[2])
-        rect = Rect(*(int(v) for v in parts[4:8]))
-        pathway = None if parts[8] == "-" else Rect(*(int(v) for v in parts[8:12]))
-        edges.append(GapEdge(i, j, cap, rect, pathway, parts[3]))
+    for _ in range(count()):
+        i, j = take()
+        if not 0 <= i < j < n:
+            raise ValueError(f"edge ({i}, {j}) outside 0 <= i < j < {n}")
+        edges.append(make_gap_edge(obstacles[i], obstacles[j]))
 
-    xs = [int(v) for v in take()[1:]]
-    ys = [int(v) for v in take()[1:]]
-    grid = DoubledGrid(xs, ys)
-    runs = [int(v) for v in take()[1:]]
-    region_count = int(take()[1])
+    grid = build_grid(obstacles, edges)
+    runs = [int(v) for v in next(rows).split()[1:]]
+    region_count = count()
     labels = _unrle(runs, grid.shape, region_count + len(edges))
     part = RegionPartition(grid, labels, region_count)
 
-    nlinks = int(take()[1])
-    links = [tuple(int(v) for v in take()) for _ in range(nlinks)]
+    links = [tuple(take()) for _ in range(count())]
 
     return FeasibilityIndex(
         obstacles=obstacles,

@@ -7,13 +7,15 @@ obstacle against earlier ones whose bottom side lies in its shadow region
 the active set.  Eight symmetry passes cover the whole plane and emit at
 most n pairs each.
 
-A candidate pair survives as an edge only if no third obstacle intersects
-the open interior of its minimum pathway: the corridor between the pair,
-extended along the passage axis far enough for a maximum-size robot to
-enter and leave completely.  Boundary contact does not kill an edge (open
-robot, closed obstacles), so exactly aligned worlds can keep overlapping
-corridor seals whose abstract center segments cross; the partition is
-indifferent to that.
+A candidate pair survives as an edge only if it has a passage (capacity >
+0) and no third obstacle intersects the open interior of its minimum
+pathway: the corridor between the pair, extended along the passage axis far
+enough for a maximum-size robot to enter and leave completely.  Pairs that
+overlap or touch have no gap; their contact lies inside both obstacles,
+which the partition walls off anyway, so they are dropped.  Boundary contact
+does not kill an edge (open robot, closed obstacles), so exactly aligned
+worlds can keep overlapping corridor seals whose abstract center segments
+cross; the partition is indifferent to that.
 """
 
 from __future__ import annotations
@@ -21,46 +23,24 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .geometry import (
-    SYMMETRIES,
-    Obstacle,
-    Rect,
-    gaps,
-    segment_meets_rect,
-    segments_properly_cross,
-    thin_edge_rect,
-)
+from .geometry import SYMMETRIES, Obstacle, Rect, capacity, gaps, thin_edge_rect
 
-KIND_OVERLAP_X = "overlap-x"
-KIND_OVERLAP_Y = "overlap-y"
-KIND_DIAGONAL = "diagonal"
 
 @dataclass(frozen=True, slots=True)
 class GapEdge:
-    """A constraint between obstacles i < j.
+    """A passable gap between obstacles i < j; every field but the ids
+    follows from the two obstacles (see make_gap_edge).
 
-    capacity: largest passable square side (0 = sealed wall).
-    edge_rect: normalized contact/gap rectangle, sealed in the partition.
-    pathway: region that must be clear for the edge to be relevant
-        (None when capacity is 0).
+    capacity: largest passable square side, always > 0.
+    edge_rect: normalized gap rectangle, sealed in the partition.
+    pathway: region that must be clear for the edge to be relevant.
     """
 
     i: int
     j: int
     capacity: int
     edge_rect: Rect
-    pathway: Rect | None
-    kind: str
-
-
-def _kind(gx: int, gy: int) -> str:
-    if gx > 0 and gy > 0:
-        return KIND_DIAGONAL
-    if gx <= 0 and gy > 0:
-        return KIND_OVERLAP_X
-    if gy <= 0 and gx > 0:
-        return KIND_OVERLAP_Y
-    return KIND_OVERLAP_X if gx <= gy else KIND_OVERLAP_Y
+    pathway: Rect
 
 
 def minimum_pathway(a: Obstacle, b: Obstacle) -> Rect | None:
@@ -89,17 +69,13 @@ def minimum_pathway(a: Obstacle, b: Obstacle) -> Rect | None:
 
 
 def make_gap_edge(a: Obstacle, b: Obstacle) -> GapEdge:
+    """The gap edge of a pair; ValueError when the pair has no passage."""
     if a.id > b.id:
         a, b = b, a
-    gx, gy = gaps(a, b)
-    return GapEdge(
-        i=a.id,
-        j=b.id,
-        capacity=max(gx, gy, 0),
-        edge_rect=thin_edge_rect(a, b),
-        pathway=minimum_pathway(a, b),
-        kind=_kind(gx, gy),
-    )
+    pathway = minimum_pathway(a, b)
+    if pathway is None:
+        raise ValueError(f"obstacles {a.id} and {b.id}: no passage")
+    return GapEdge(a.id, b.id, capacity(a, b), thin_edge_rect(a, b), pathway)
 
 
 def shadow_contains(anchor: Obstacle, other: Obstacle) -> bool:
@@ -362,95 +338,17 @@ def _clear_pathways(
 def relevance_filter(
     candidates: list[tuple[int, int]], obstacles: list[Obstacle]
 ) -> list[GapEdge]:
-    """Keep candidate edges whose open pathway interior is obstacle-free.
-
-    Pairs with capacity 0 skip the test: they are retained as sealed walls
-    for the partition but never become passable.
-    """
-    edges = [make_gap_edge(obstacles[i], obstacles[j]) for i, j in candidates]
-    open_edges = [e for e in edges if e.capacity > 0]
-    clear = _clear_pathways([e.pathway for e in open_edges], obstacles)
-    kept = [e for e in edges if e.capacity == 0]
-    kept.extend(e for e, ok in zip(open_edges, clear) if ok)
-    kept.sort(key=lambda e: (e.i, e.j))
-    return kept
+    """Gap edges, in candidate order, of the candidate pairs that have a
+    passage and whose open pathway interior is obstacle-free."""
+    edges = [
+        make_gap_edge(obstacles[i], obstacles[j])
+        for i, j in candidates
+        if capacity(obstacles[i], obstacles[j]) > 0
+    ]
+    clear = _clear_pathways([e.pathway for e in edges], obstacles)
+    return [e for e, ok in zip(edges, clear) if ok]
 
 
 def build_gap_edges(obstacles: list[Obstacle]) -> list[GapEdge]:
     """Full pipeline: sweep candidates, then relevance filtering."""
     return relevance_filter(build_candidates(obstacles), obstacles)
-
-
-def strictly_clear(edge: GapEdge, obstacles: list[Obstacle]) -> bool:
-    """Whether no third obstacle even touches the edge's closed pathway.
-
-    Surviving edges with merely-touching third obstacles sit exactly on the
-    boundary of the non-crossing argument (whose pathway is inclusive of
-    its edge points); the planarity statement below is asserted for the
-    strictly clear ones.
-    """
-    p = edge.pathway
-    for o in obstacles:
-        if o.id in (edge.i, edge.j):
-            continue
-        if o.x1 <= p.x2 and o.x2 >= p.x1 and o.y1 <= p.y2 and o.y2 >= p.y1:
-            return False
-    return True
-
-
-def edge_drawing(edge: GapEdge, obstacles: list[Obstacle]):
-    """Geometric realization of an edge for the non-crossing check.
-
-    Overlap-kind edges occupy their whole gap rectangle (the corridor
-    between the pair); diagonal-kind edges are the corner-to-corner segment
-    across their gap rectangle, oriented by which obstacle sits lower.
-    """
-    r = edge.edge_rect
-    if edge.kind != KIND_DIAGONAL:
-        return ("rect", r)
-    a, b = obstacles[edge.i], obstacles[edge.j]
-    left, right = (a, b) if a.x2 <= b.x1 else (b, a)
-    if left.y2 <= right.y1:
-        return ("seg", ((r.x1, r.y1), (r.x2, r.y2)))
-    return ("seg", ((r.x1, r.y2), (r.x2, r.y1)))
-
-
-def drawings_cross(a, b) -> bool:
-    """Whether two edge drawings collide: rectangles by closed overlap,
-    segments by proper transversal crossing, mixed by closed contact."""
-    (ka, va), (kb, vb) = a, b
-    if ka == "rect" and kb == "rect":
-        return (
-            va.x1 <= vb.x2
-            and va.x2 >= vb.x1
-            and va.y1 <= vb.y2
-            and va.y2 >= vb.y1
-        )
-    if ka == "seg" and kb == "seg":
-        return segments_properly_cross(*va, *vb)
-    seg = va if ka == "seg" else vb
-    rect = vb if kb == "rect" else va
-    return segment_meets_rect(*seg, rect)
-
-
-def non_crossing_violations(
-    obstacles: list[Obstacle], edges: list[GapEdge]
-) -> list[tuple[int, int, int, int]]:
-    """Pairs of strictly clear passable edges (four distinct obstacles)
-    whose drawings collide.  Expected empty: the surviving constraint graph
-    embeds without crossings."""
-    checked = [
-        (e, edge_drawing(e, obstacles))
-        for e in edges
-        if e.capacity > 0 and strictly_clear(e, obstacles)
-    ]
-    out = []
-    for x in range(len(checked)):
-        ex, dx = checked[x]
-        for y in range(x + 1, len(checked)):
-            ey, dy = checked[y]
-            if {ex.i, ex.j} & {ey.i, ey.j}:
-                continue
-            if drawings_cross(dx, dy):
-                out.append((ex.i, ex.j, ey.i, ey.j))
-    return out

@@ -120,8 +120,6 @@ def region_adjacency(index) -> set[tuple[int, int]]:
 
     pairs = set()
     for e in index.edges:
-        if e.capacity <= 0:
-            continue
         r = e.edge_rect
         cx1, cx2 = grid.line(grid.xs, r.x1), grid.line(grid.xs, r.x2)
         cy1, cy2 = grid.line(grid.ys, r.y1), grid.line(grid.ys, r.y2)

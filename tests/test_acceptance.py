@@ -15,11 +15,12 @@ from gapgraph.geometry import Obstacle, ingest_world, placement_free
 from gapgraph.oracle import oracle_feasible, oracle_relevant_edges
 from gapgraph.polygons import decompose, polygon_area
 from gapgraph.store import load_index, save_index
-from gapgraph.sweep import build_candidates, non_crossing_violations, shadow_sweep_pass
+from gapgraph.sweep import build_candidates, shadow_sweep_pass
 from gapgraph.worldgen import gen_world, world_shapes
 from gapgraph.geometry import SYMMETRIES
 
 from conftest import random_rectilinear_polygon, region_adjacency
+from planarity import non_crossing_violations
 
 KINDS = ("uniform", "cluster", "maze")
 

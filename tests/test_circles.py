@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gapgraph.circles import diametral_disc_blocked, fold_radius, gabriel_edges
-from gapgraph.geometry import segments_properly_cross
+
+from planarity import segments_properly_cross
 
 
 class TestFoldRadius:

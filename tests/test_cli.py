@@ -21,16 +21,58 @@ R 9 0 10 4
 R 9 8 10 10
 """
 
-#: An index of the empty world (one region, no edges) with the given
-#: format version and run-length encoded cell labels.
+#: A v4 index of the empty world (one region, no edges, a 5x5 cell grid)
+#: with the given run-length encoded cell labels.
 EMPTY_INDEX = """\
+gapgraph-index 4
+candidates 0
+obstacles 0
+edges 0
+labels {labels}
+regions 1
+links 0
+"""
+
+#: The empty world in the v2 and v3 layouts, which held grid coordinates.
+OLD_EMPTY_INDEX = """\
 gapgraph-index {version}
 candidates 0
 obstacles 0
 edges 0
 gridx -2 0 2
 gridy -2 0 2
-labels {labels}
+labels 25 0
+regions 1
+links 0
+"""
+
+#: A v4 index of the boxes [0,1]x[0,1] and [2,3]x[0,1], whose one gap edge
+#: (seal node 1) is given as its obstacle pair.
+GAP_INDEX = """\
+gapgraph-index 4
+candidates 1
+obstacles 2
+0 0 2 2
+4 0 6 2
+edges 1
+{edge}
+labels 16 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 1 4 0 3 -1 4 0 3 -1 4 0 3 -1 16 0
+regions 1
+links 1
+0 1 2
+"""
+
+#: A v4 index of the touching boxes [0,1]x[0,1] and [1,2]x[0,1] that lists
+#: their pair as an edge.
+TOUCHING_INDEX = """\
+gapgraph-index 4
+candidates 1
+obstacles 2
+0 0 2 2
+2 0 4 2
+edges 1
+0 1
+labels 16 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 -1 16 0
 regions 1
 links 0
 """
@@ -208,22 +250,28 @@ class TestCli:
             None,
             ROOM_TEXT,
             "gapgraph-index 1\nfault 0\ncandidates 0\n",
-            EMPTY_INDEX.format(version=2, labels="25 0"),
+            OLD_EMPTY_INDEX.format(version=2),
+            OLD_EMPTY_INDEX.format(version=3),
             "gapgraph-index 2\ncandidates 0\nobstacles 3\n0 0 0 2 2\n",
-            "gapgraph-index 3\ncandidates 0\nobstacles 3\n0 0 0 2 2\n",
+            "gapgraph-index 4\ncandidates 0\nobstacles 3\n0 0 2 2\n",
             # the centre cell names node 1, a seal of an edge that is not there
-            EMPTY_INDEX.format(version=3, labels="12 0 1 1 12 0"),
-            EMPTY_INDEX.format(version=3, labels="25 4294967296"),
+            EMPTY_INDEX.format(labels="12 0 1 1 12 0"),
+            EMPTY_INDEX.format(labels="25 4294967296"),
+            GAP_INDEX.format(edge="0 2"),  # obstacle 2 does not exist
+            TOUCHING_INDEX,
         ],
         ids=[
             "missing",
             "not-an-index",
             "v1-index",
             "v2-index",
+            "v3-index",
             "truncated-v2",
-            "truncated-v3",
+            "truncated-v4",
             "label-out-of-range",
             "label-overflow",
+            "edge-out-of-range",
+            "edge-no-passage",
         ],
     )
     def test_unreadable_index_exits_1(self, command, content, tmp_path, capsys):
@@ -239,6 +287,26 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(idx) in err
+
+    @pytest.mark.parametrize("command", ["build", "gen", "render", "verify"])
+    def test_output_in_missing_directory_exits_1(self, command, room, tmp_path, capsys):
+        idx = tmp_path / "room.idx"
+        assert main(["build", str(room), "-o", str(idx)]) == 0
+        out = tmp_path / "missing" / "out"
+        args = {
+            "build": ["build", str(room), "-o", str(out)],
+            "gen": ["gen", "-n", "5", "-o", str(out)],
+            "render": ["render", str(idx), "-o", str(out)],
+            "verify": [
+                "verify", str(room), "--random", "80", "--seed", "4",
+                "--inject-fault", "--dump", str(out),
+            ],
+        }[command]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.parent.exists()
 
     def test_render_room(self, room, tmp_path):
         idx = tmp_path / "room.idx"

@@ -12,9 +12,10 @@ from gapgraph.geometry import (
     gaps,
     ingest_world,
     placement_free,
-    segments_properly_cross,
     thin_edge_rect,
 )
+
+from planarity import segments_properly_cross
 
 
 def rect_obstacle(i, x1, y1, x2, y2):

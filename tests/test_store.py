@@ -14,6 +14,8 @@ def test_round_trip_reproduces_verdicts(tmp_path):
         path = tmp_path / f"w{w}.idx"
         save_index(idx, str(path))
         loaded = load_index(str(path))
+        assert loaded.edges == idx.edges
+        assert loaded.partition.grid == idx.partition.grid
         assert loaded.partition.region_count == idx.partition.region_count
         assert loaded.links == idx.links
         assert loaded.candidate_count == idx.candidate_count

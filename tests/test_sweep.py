@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from gapgraph.geometry import (
     SYMMETRIES,
     Obstacle,
@@ -8,18 +10,19 @@ from gapgraph.geometry import (
     ingest_world,
 )
 from gapgraph.oracle import oracle_relevant_edges
+from gapgraph.partition import WALL_CELL, build_partition
 from gapgraph.sweep import (
     build_candidates,
     build_gap_edges,
     make_gap_edge,
     minimum_pathway,
-    non_crossing_violations,
     relevance_filter,
     shadow_contains,
     shadow_sweep_pass,
 )
 
 from conftest import random_obstacles
+from planarity import is_diagonal, non_crossing_violations
 
 # External-unit fixtures, doubled by hand.
 DIAG_A = Obstacle(0, 0, 2, 4, 4)      # [0,2]x[1,2]
@@ -44,14 +47,16 @@ class TestMinimumPathway:
         a = Obstacle(0, 0, 0, 4, 4)
         b = Obstacle(1, 2, 2, 6, 6)
         assert minimum_pathway(a, b) is None
+        with pytest.raises(ValueError, match="no passage"):
+            make_gap_edge(a, b)
 
     def test_pathway_contains_edge_rect(self):
         rng = random.Random(20)
         for _ in range(400):
             a, b = random_obstacles(rng, 2)
-            e = make_gap_edge(a, b)
-            if e.pathway is None:
+            if capacity(a, b) == 0:
                 continue
+            e = make_gap_edge(a, b)
             p, r = e.pathway, e.edge_rect
             assert p.x1 <= r.x1 and p.y1 <= r.y1 and p.x2 >= r.x2 and p.y2 >= r.y2
 
@@ -70,15 +75,18 @@ def _passage_axis(e) -> str | None:
 class TestGapEdge:
     def test_diagonal_kind_and_axis(self):
         e = make_gap_edge(DIAG_A, DIAG_B)
-        assert (e.kind, _passage_axis(e), e.capacity) == ("diagonal", "horizontal", 6)
+        assert is_diagonal(DIAG_A, DIAG_B)
+        assert (_passage_axis(e), e.capacity) == ("horizontal", 6)
 
     def test_overlap_kind(self):
         e = make_gap_edge(OVER_A, OVER_B)
-        assert (e.kind, _passage_axis(e), e.capacity) == ("overlap-x", "horizontal", 4)
+        assert not is_diagonal(OVER_A, OVER_B)
+        assert (_passage_axis(e), e.capacity) == ("horizontal", 4)
 
     def test_vertical_passage(self):
         e = make_gap_edge(COLLINEAR[0], COLLINEAR[1])
-        assert (e.kind, _passage_axis(e)) == ("overlap-y", "vertical")
+        assert not is_diagonal(COLLINEAR[0], COLLINEAR[1])
+        assert _passage_axis(e) == "vertical"
 
 
 class TestShadowContains:
@@ -165,16 +173,18 @@ class TestRelevanceFilter:
         kept = {(e.i, e.j) for e in relevance_filter(all_pairs, COLLINEAR)}
         assert kept == {(0, 2), (1, 2)}
 
-    def test_capacity_zero_pairs_retained_as_walls(self):
+    def test_capacity_zero_pairs_dropped(self):
         touching = ingest_world([("rect", (0, 0, 1, 1)), ("rect", (1, 0, 2, 1))])
-        edges = relevance_filter([(0, 1)], touching)
-        assert len(edges) == 1 and edges[0].capacity == 0
+        assert relevance_filter([(0, 1)], touching) == []
+        part = build_partition(touching, [])
+        for y in (0, 1, 2):  # the whole contact segment is wall
+            assert part.locate((2, y)) == WALL_CELL
 
     def test_equals_oracle_on_random_worlds(self):
         rng = random.Random(24)
         for _ in range(120):
             obs = random_obstacles(rng, rng.randint(1, 22), span=12)
-            built = {(e.i, e.j) for e in build_gap_edges(obs) if e.capacity > 0}
+            built = {(e.i, e.j) for e in build_gap_edges(obs)}
             assert built == oracle_relevant_edges(obs)
 
     def test_superseding_inequalities_for_removed_edges(self):
@@ -184,11 +194,9 @@ class TestRelevanceFilter:
             obs = random_obstacles(rng, rng.randint(3, 14), span=8)
             kept = {(e.i, e.j) for e in build_gap_edges(obs)}
             for (i, j) in build_candidates(obs):
-                if (i, j) in kept:
+                if (i, j) in kept or capacity(obs[i], obs[j]) == 0:
                     continue
                 e = make_gap_edge(obs[i], obs[j])
-                if e.pathway is None:
-                    continue
                 p = e.pathway
                 for k, o in enumerate(obs):
                     if k in (i, j):
