@@ -14,7 +14,9 @@ rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
 into regions.  One int32 array holds every cell's node id in the union
 graph the query timeline runs on: region r as r in [0, R), the seal of gap
 edge k as R + k, and WALL_CELL (-1) for walls.  Point location is one
-lookup from a point to its node.
+lookup from a point to its node.  The union graph's links follow one rule:
+two nodes link when cells they own are 4-adjacent, at the smaller of their
+capacities (seal_links).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .sweep import GapEdge
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
 WALL_CELL = -1
+
+_LINK_BLOCK_ROWS = 64  # grid rows seal_links compares per numpy pass
 
 
 @dataclass
@@ -141,47 +145,37 @@ def seal_links(
     """Capacity-weighted links of the union graph the query timeline runs on.
 
     Nodes are the partition's labels: region ids (0..R-1) plus one node
-    R+k per gap edge k.  A seal links to every region its one-cell
-    neighborhood touches (at the seal's capacity) and to every other
-    seal whose gap rectangle it overlaps or abuts along a segment
-    (at the smaller of the two capacities): a robot crossing from one gap
-    rectangle into another sits in both at once, so both gaps bound it.
-    Rectangles meeting only at a corner point do not link; a point contact
-    can pinch the robot.
+    R+k per gap edge k.  Two nodes link when cells they own are 4-adjacent
+    in `labels` (walls excluded), at the smaller of their two capacities; a
+    region counts as unbounded.  A robot crossing from one cell to the
+    other overlaps both at once, so both capacities bound it.  Seals whose gap
+    rectangles meet only at a corner point do not link; a point contact can
+    pinch the robot.  Regions never touch each other, so every link ends at
+    a seal node.
 
-    Probe-based region pairs need no separate links: a region-seal-region
-    path carries exactly the seal's capacity.
+    Neighbour pairs are compared _LINK_BLOCK_ROWS rows at a time, so no
+    temporary grows with the whole grid.
     """
     rc = part.region_count
-    labels, grid = part.labels, part.grid
-    found: dict[tuple[int, int], int] = {}
-    for k, e in enumerate(edges):
-        r = e.edge_rect
-        cx1, cx2 = grid.line(grid.xs, r.x1), grid.line(grid.xs, r.x2)
-        cy1, cy2 = grid.line(grid.ys, r.y1), grid.line(grid.ys, r.y2)
-        # Four one-cell-out face strips (diagonal corners excluded) plus the
-        # rectangle's own cells, which overlapping seals may own.
-        strips = (
-            (slice(cx1 - 1, cx1), slice(cy1, cy2 + 1)),
-            (slice(cx2 + 1, cx2 + 2), slice(cy1, cy2 + 1)),
-            (slice(cx1, cx2 + 1), slice(cy1 - 1, cy1)),
-            (slice(cx1, cx2 + 1), slice(cy2 + 1, cy2 + 2)),
-            (slice(cx1, cx2 + 1), slice(cy1, cy2 + 1)),
-        )
-        for sx, sy in strips:
-            strip = labels[sx, sy]
-            for node in np.unique(strip[strip != WALL_CELL]).tolist():
-                if node < rc:
-                    found.setdefault((node, rc + k), e.capacity)
-                    continue
-                o = node - rc
-                if o == k:
-                    continue
-                f = edges[o].edge_rect
-                ox = min(r.x2, f.x2) - max(r.x1, f.x1)
-                oy = min(r.y2, f.y2) - max(r.y1, f.y1)
-                if ox == 0 and oy == 0:
-                    continue
-                key = (rc + min(k, o), rc + max(k, o))
-                found.setdefault(key, min(e.capacity, edges[o].capacity))
-    return sorted((a, b, w) for (a, b), w in found.items())
+    labels = part.labels
+    nodes = rc + len(edges)
+    keys = [np.empty(0, dtype=np.int64)]
+    for r0 in range(0, labels.shape[0], _LINK_BLOCK_ROWS):
+        rows = labels[r0 : r0 + _LINK_BLOCK_ROWS]
+        below = labels[r0 + 1 : r0 + _LINK_BLOCK_ROWS + 1]
+        for a, b in ((rows[: len(below)], below), (rows[:, :-1], rows[:, 1:])):
+            touch = (a != b) & (a != WALL_CELL) & (b != WALL_CELL)
+            u, v = a[touch], b[touch]
+            key = np.minimum(u, v).astype(np.int64) * nodes + np.maximum(u, v)
+            keys.append(np.unique(key))
+    a, b = np.divmod(np.unique(np.concatenate(keys)), nodes)
+
+    caps = np.full(nodes, np.iinfo(np.int64).max, dtype=np.int64)
+    caps[rc:] = [e.capacity for e in edges]
+    rects = np.array([e.edge_rect for e in edges], dtype=np.int64).reshape(-1, 4)
+    ra, rb = rects[np.maximum(a - rc, 0)], rects[b - rc]  # b is always a seal
+    ox = np.minimum(ra[:, 2], rb[:, 2]) - np.maximum(ra[:, 0], rb[:, 0])
+    oy = np.minimum(ra[:, 3], rb[:, 3]) - np.maximum(ra[:, 1], rb[:, 1])
+    keep = (a < rc) | (ox != 0) | (oy != 0)
+    a, b = a[keep], b[keep]
+    return list(zip(a.tolist(), b.tolist(), np.minimum(caps[a], caps[b]).tolist()))

@@ -40,7 +40,11 @@ def _rle(array: np.ndarray) -> list[int]:
 
 def _unrle(values: list[int], shape: tuple[int, int], nodes: int) -> np.ndarray:
     """Cell labels from (count, label) runs; each label must name one of
-    `nodes` union-graph nodes or be WALL_CELL."""
+    `nodes` union-graph nodes or be WALL_CELL.  The counts are checked
+    before anything is expanded."""
+    counts = values[0::2]
+    if min(counts, default=1) < 1 or sum(counts) != shape[0] * shape[1]:
+        raise ValueError(f"label runs do not cover the {shape[0]}x{shape[1]} grid")
     labels = np.array(values[1::2], dtype=np.int32)
     if labels.size and (labels.min() < WALL_CELL or labels.max() >= nodes):
         raise ValueError(f"cell label outside [{WALL_CELL}, {nodes})")

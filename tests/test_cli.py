@@ -1,3 +1,4 @@
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -123,6 +124,28 @@ class TestGenerators:
             for b in obs[i + 1 :]
         )
         assert touching
+
+    @pytest.mark.parametrize("n, seed", [(200, 11), (150, 3)])  # the second has top-ups
+    def test_maze_side_1_robot_reaches_every_chamber(self, n, seed):
+        # A later wall across an earlier door, or a top-up block in one,
+        # would cut a chamber off.
+        from gapgraph.engine import Verdict
+        from gapgraph.geometry import ingest_world, placement_free
+        from gapgraph.oracle import oracle_feasible
+
+        shapes = world_shapes("maze", n, seed)
+        obs = ingest_world(shapes)
+        side = max(r[2] for _, r in shapes) - 1  # the outer walls enclose [0, side]^2
+        rng = random.Random(13)
+        # centres of unit cells, in half-units
+        cells = [
+            (2 * rng.randrange(side) + 1, 2 * rng.randrange(side) + 1) for _ in range(400)
+        ]
+        free = [p for p in cells if placement_free(p, 2, obs)]
+        assert len(free) >= 100
+        hub = free[0]
+        for p in free[1:]:
+            assert oracle_feasible(obs, hub, p, 2) is Verdict.FEASIBLE, p
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -257,6 +280,7 @@ class TestCli:
             # the centre cell names node 1, a seal of an edge that is not there
             EMPTY_INDEX.format(labels="12 0 1 1 12 0"),
             EMPTY_INDEX.format(labels="25 4294967296"),
+            EMPTY_INDEX.format(labels=f"{2**40} 0"),
             GAP_INDEX.format(edge="0 2"),  # obstacle 2 does not exist
             TOUCHING_INDEX,
         ],
@@ -270,6 +294,7 @@ class TestCli:
             "truncated-v4",
             "label-out-of-range",
             "label-overflow",
+            "label-run-overflow",
             "edge-out-of-range",
             "edge-no-passage",
         ],

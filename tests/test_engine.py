@@ -219,6 +219,24 @@ def test_fault_injection_flips_boundary_verdicts():
     assert bad.feasible(q) is Verdict.INFEASIBLE
 
 
+def test_link_only_across_owned_cells():
+    # 17 lattice boxes (external units) cut down from a 2000-box cluster
+    # world.  A seal's rectangle is partly covered by a higher seal of
+    # smaller capacity; linking the lower seal to the region beyond that
+    # cover let a side-3 robot through where no placement of it fits.
+    boxes = [
+        (142, 29, 147, 34), (162, 29, 166, 35), (167, 20, 171, 24), (165, 18, 168, 19),
+        (152, 37, 158, 43), (149, 32, 151, 35), (145, 19, 149, 24), (162, 13, 163, 16),
+        (146, 13, 152, 17), (160, 26, 164, 30), (150, 7, 155, 11), (160, 11, 161, 13),
+        (162, 27, 166, 29), (156, 37, 161, 40), (157, 4, 163, 9), (167, 20, 172, 25),
+        (148, 25, 151, 28),
+    ]
+    obstacles = ingest_world([("rect", box) for box in boxes])
+    q = Query((42, -14), (314, 64), 6)
+    assert oracle_feasible(obstacles, q.s, q.t, q.d) is Verdict.INFEASIBLE
+    assert preprocess(obstacles).feasible(q) is Verdict.INFEASIBLE
+
+
 # Known wrong verdicts, in external units: 22 boxes cut down from a 7000-box
 # lattice cluster world (one side-4 query), and 21 boxes in general position
 # cut down from a 1000-box world (two queries of side 3% of the span, each

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -217,8 +218,48 @@ class TestSealLinks:
                 if a < rc:
                     assert cap == edges[b - rc].capacity
 
+    def test_links_are_touching_cell_pairs(self):
+        # Brute force over every 4-adjacent cell pair of the same worlds.
+        rng = random.Random(43)
+        corner_pairs = 0
+        for _ in range(30):
+            obs = random_obstacles(rng, rng.randint(2, 14), span=10)
+            edges = build_gap_edges(obs)
+            part = build_partition(obs, edges)
+            rc = part.region_count
+            labels = part.labels.tolist()
+            nx, ny = part.labels.shape
+            touching = set()
+            for ix in range(nx):
+                for iy in range(ny):
+                    for jx, jy in ((ix + 1, iy), (ix, iy + 1)):
+                        if jx < nx and jy < ny:
+                            u, v = labels[ix][iy], labels[jx][jy]
+                            if u != v and WALL_CELL not in (u, v):
+                                touching.add((min(u, v), max(u, v)))
+
+            def corner_only(a, b):
+                if a < rc:
+                    return False
+                r, f = edges[a - rc].edge_rect, edges[b - rc].edge_rect
+                ox = min(r.x2, f.x2) - max(r.x1, f.x1)
+                oy = min(r.y2, f.y2) - max(r.y1, f.y1)
+                return ox == 0 and oy == 0
+
+            def capacity(node):
+                return math.inf if node < rc else edges[node - rc].capacity
+
+            links = seal_links(part, edges)
+            expected = {p for p in touching if not corner_only(*p)}
+            assert {(a, b) for a, b, _ in links} == expected
+            for a, b, cap in links:
+                assert cap == min(capacity(a), capacity(b))
+            corner_pairs += sum(corner_only(*p) for p in touching)
+        assert corner_pairs > 0
+
 
 def test_seal_links_connect_corridor_chains():
+
     # Three gap rectangles tile one corridor; the middle seal's faces all
     # land in sibling seals, yet the links must still reach the open region.
     obs = ingest_world(
