@@ -16,7 +16,6 @@ from .geometry import (
     SYMMETRIES,
     Symmetry,
     capacity,
-    expand,
     gaps,
     ingest_world,
     placement_free,
@@ -54,7 +53,6 @@ __all__ = [
     "build_partition",
     "capacity",
     "decompose",
-    "expand",
     "fold_radius",
     "gabriel_edges",
     "gaps",

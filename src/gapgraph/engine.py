@@ -6,10 +6,15 @@ seals the gap rectangles into a region partition, and replays the
 capacity-weighted links of the region/seal adjacency graph into a
 persistent DSU in descending capacity order, so the component structure at
 timestamp k reflects exactly the k widest links.
-A query locates both endpoints, which reads their union-graph node ids
-straight off the partition (a point inside a sealed gap rectangle lands on
-the seal's own node), binary-searches the last timestamp whose capacity
-still admits the robot (d <= capacity passes), and asks the DSU.
+A query checks each placement against the partition's wall cells (every
+obstacle side is a grid line, so the open body meets an obstacle exactly
+when a cell under it is a wall), locates both endpoints, which reads their
+union-graph node ids straight off the partition (a point inside a sealed
+gap rectangle lands on the seal's own node), binary-searches the last
+timestamp whose capacity still admits the robot (d <= capacity passes),
+and asks the DSU.  A placement reads the cells under the body: at most
+(2D + 1)^2 for a side-D robot on integer coordinates, whatever n is; on
+general-position worlds, more as the robot's share of the span grows.
 """
 
 from __future__ import annotations
@@ -22,7 +27,13 @@ import numpy as np
 
 from .dsu import PersistentDsu
 from .geometry import Obstacle, ingest_world
-from .partition import WALL_CELL, RegionPartition, build_partition, seal_links
+from .partition import (
+    WALL_CELL,
+    RegionPartition,
+    build_partition,
+    node_capacities,
+    seal_links,
+)
 from .sweep import GapEdge, build_candidates, relevance_filter
 
 
@@ -61,10 +72,7 @@ class FeasibilityIndex:
 
     dsu: PersistentDsu = field(init=False)
     _neg_caps: list[int] = field(init=False)
-    _ox1: np.ndarray = field(init=False)
-    _oy1: np.ndarray = field(init=False)
-    _ox2: np.ndarray = field(init=False)
-    _oy2: np.ndarray = field(init=False)
+    _node_caps: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         node_count = self.partition.region_count + len(self.edges)
@@ -76,26 +84,17 @@ class FeasibilityIndex:
             self.dsu.union(a, b)
             neg.append(-cap)
         self._neg_caps = neg
-        self._ox1 = np.fromiter((o.x1 for o in self.obstacles), dtype=np.int64)
-        self._oy1 = np.fromiter((o.y1 for o in self.obstacles), dtype=np.int64)
-        self._ox2 = np.fromiter((o.x2 for o in self.obstacles), dtype=np.int64)
-        self._oy2 = np.fromiter((o.y2 for o in self.obstacles), dtype=np.int64)
+        self._node_caps = node_capacities(self.partition.region_count, self.edges)
 
     # -- placement validity --------------------------------------------------
 
     def placement_free(self, p: tuple[int, int], d: int) -> bool:
-        """Vectorized equivalent of geometry.placement_free."""
-        if not self.obstacles:
-            return True
-        px, py = p
-        h = d // 2
-        hit = (
-            (self._ox1 - h < px)
-            & (px < self._ox2 + h)
-            & (self._oy1 - h < py)
-            & (py < self._oy2 + h)
-        )
-        return not bool(hit.any())
+        """Equivalent of geometry.placement_free, read off the grid: the open
+        square meets an obstacle exactly when a cell under it is a wall (the
+        only negative label).  Four bisects plus one pass over the cells
+        under the body; an empty block is free."""
+        part = self.partition
+        return part.labels[part.grid.body(p, d)].min(initial=0) > WALL_CELL
 
     # -- node lookup -----------------------------------------------------------
 
@@ -103,21 +102,16 @@ class FeasibilityIndex:
         """Node for a free placement whose center sits in seal node `seal`
         while d exceeds that gap's capacity: the robot cannot be inside the
         gap, so its open body straddles the rectangle and lies in one region
-        (or in a wider overlapping gap).  Scan the body's cells for it."""
-        h = d // 2
-        px, py = p
+        (or in a wider overlapping gap).  Of the cells under the body (no
+        walls, the placement is free), in x-major order: the first region,
+        else the first seal whose capacity admits d, else `seal` itself."""
         part = self.partition
-        grid, labels, rc = part.grid, part.labels, part.region_count
-        wide = seal
-        rows = grid.span(grid.ys, py - h, py + h)
-        for ix in grid.span(grid.xs, px - h, px + h):
-            for iy in rows:
-                node = int(labels[ix, iy])
-                if 0 <= node < rc:
-                    return node
-                if wide == seal and node >= rc and self.edges[node - rc].capacity >= d:
-                    wide = node
-        return wide
+        nodes = part.labels[part.grid.body(p, d)].ravel()
+        regions = nodes[nodes < part.region_count]
+        if regions.size:
+            return int(regions[0])
+        wide = nodes[self._node_caps[nodes] >= d]
+        return int(wide[0]) if wide.size else seal
 
     def region_of(self, p: tuple[int, int], d: int) -> int | None:
         """Node id for a placement, or None when the placement collides."""
@@ -126,8 +120,7 @@ class FeasibilityIndex:
         node = self.partition.locate(p)
         if node == WALL_CELL:
             raise AssertionError("free placement located inside an obstacle")
-        k = node - self.partition.region_count
-        if k < 0 or d <= self.edges[k].capacity:
+        if d <= self._node_caps[node]:
             return node
         return self._straddling_node(p, d, node)
 

@@ -155,14 +155,6 @@ def thin_edge_rect(a: Obstacle, b: Obstacle) -> Rect:
     return Rect(xl, yl, xh, yh)
 
 
-def expand(o: Obstacle, d: int) -> Rect:
-    """Grow each side outward by d/2 (d in half-units, must be even)."""
-    if d < 0 or d % 2:
-        raise ValueError("robot side must be a nonnegative even half-unit count")
-    h = d // 2
-    return Rect(o.x1 - h, o.y1 - h, o.x2 + h, o.y2 + h)
-
-
 def placement_free(p: tuple[int, int], d: int, obstacles: Iterable[Obstacle]) -> bool:
     """True iff the open square of side d centered at p misses every obstacle.
 

@@ -5,9 +5,13 @@ as cells (even cell indices are zero-thickness lines, odd are intervals),
 so zero-width gap rectangles and flush boundaries need no epsilons.  One
 sentinel coordinate beyond each extreme keeps the outermost ring free;
 points outside the grid clamp onto that ring, which always belongs to the
-unbounded region.  The grid lines are exactly the obstacle and gap
-rectangle coordinates (build_grid), so the grid is rebuilt from the
-obstacles and edges, never stored.
+unbounded region.  The grid lines are exactly the obstacle coordinates
+(build_grid); a gap rectangle's sides are coordinates of its own pair, so
+they lie on the grid too, and the grid is rebuilt from the obstacles,
+never stored.  Since every obstacle side is a grid line, each cell lies
+wholly inside or wholly outside each closed obstacle: the open square of
+side d at p meets an obstacle exactly when one of the cells it meets
+(DoubledGrid.body) is a wall.
 
 Cells covered by a closed obstacle are walls; cells covered by a gap edge's
 rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
@@ -71,6 +75,15 @@ class DoubledGrid:
             b -= 1
         return range(a, b + 1)
 
+    def body(self, p: tuple[int, int], d: int) -> tuple[slice, slice]:
+        """Cells that the open square of side d centred at p meets, as a
+        block of labels indices; empty when the square lies wholly beyond
+        a sentinel line."""
+        h = d // 2
+        sx = self.span(self.xs, p[0] - h, p[0] + h)
+        sy = self.span(self.ys, p[1] - h, p[1] + h)
+        return slice(sx.start, sx.stop), slice(sy.start, sy.stop)
+
     @property
     def shape(self) -> tuple[int, int]:
         return 2 * len(self.xs) - 1, 2 * len(self.ys) - 1
@@ -88,17 +101,14 @@ class RegionPartition:
         return int(self.labels[grid.cell(grid.xs, p[0]), grid.cell(grid.ys, p[1])])
 
 
-def build_grid(obstacles: list[Obstacle], edges: list[GapEdge]) -> DoubledGrid:
-    """The grid over every obstacle and gap rectangle coordinate, plus one
-    sentinel beyond each extreme."""
+def build_grid(obstacles: list[Obstacle]) -> DoubledGrid:
+    """The grid over every obstacle coordinate, plus one sentinel beyond
+    each extreme."""
     coords_x: set[int] = set()
     coords_y: set[int] = set()
     for o in obstacles:
         coords_x.update((o.x1, o.x2))
         coords_y.update((o.y1, o.y2))
-    for e in edges:
-        coords_x.update((e.edge_rect.x1, e.edge_rect.x2))
-        coords_y.update((e.edge_rect.y1, e.edge_rect.y2))
     if not coords_x:
         coords_x, coords_y = {0}, {0}
     xs = sorted({min(coords_x) - 2, *coords_x, max(coords_x) + 2})
@@ -116,7 +126,7 @@ def build_partition(
     rectangles overlap, the higher edge index owns the cell; walls override
     seals.
     """
-    grid = build_grid(obstacles, edges)
+    grid = build_grid(obstacles)
     xs, ys = grid.xs, grid.ys
 
     def cells(r: Rect) -> tuple[slice, slice]:
@@ -137,6 +147,14 @@ def build_partition(
     for sl in wall_cells:
         labels[sl] = WALL_CELL
     return RegionPartition(grid, labels, int(count))
+
+
+def node_capacities(region_count: int, edges: list[GapEdge]) -> np.ndarray:
+    """int64 capacity of every union-graph node: regions are unbounded, the
+    seal R + k carries gap edge k's capacity."""
+    caps = np.full(region_count + len(edges), np.iinfo(np.int64).max, dtype=np.int64)
+    caps[region_count:] = [e.capacity for e in edges]
+    return caps
 
 
 def seal_links(
@@ -170,8 +188,7 @@ def seal_links(
             keys.append(np.unique(key))
     a, b = np.divmod(np.unique(np.concatenate(keys)), nodes)
 
-    caps = np.full(nodes, np.iinfo(np.int64).max, dtype=np.int64)
-    caps[rc:] = [e.capacity for e in edges]
+    caps = node_capacities(rc, edges)
     rects = np.array([e.edge_rect for e in edges], dtype=np.int64).reshape(-1, 4)
     ra, rb = rects[np.maximum(a - rc, 0)], rects[b - rc]  # b is always a seal
     ox = np.minimum(ra[:, 2], rb[:, 2]) - np.maximum(ra[:, 0], rb[:, 0])

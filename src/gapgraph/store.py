@@ -5,10 +5,11 @@ the obstacles (`x1 y1 x2 y2`, the id is the line's position), the gap edges
 as obstacle pairs (`i j`), the run-length encoded cell labels (each cell's
 union-graph node id, or -1 for walls), the region count and the union-graph
 links.  Loading rebuilds each edge from its pair and the grid from the
-obstacles and edges, the same functions the build uses; it rejects a pair
-that is out of order or out of range or has no passage, and a label that
-names no node.  It replays the links into a fresh persistent DSU, so a
-reloaded index answers every query exactly like the original.  The text is
+obstacles, the same functions the build uses; it rejects a misnamed
+section, a negative count, a pair that is out of order or out of range or
+has no passage, a label that names no node, and any line after the links.
+It replays the links into a fresh persistent DSU, so a reloaded index
+answers every query exactly like the original.  The text is
 deterministic for a given index.  Files of earlier versions are rejected.
 """
 
@@ -86,31 +87,43 @@ def _parse(rows) -> FeasibilityIndex:
     def take() -> list[int]:
         return [int(v) for v in next(rows).split()]
 
-    def count() -> int:
-        return int(next(rows).split()[1])
+    def section(name: str) -> list[str]:
+        key, *rest = next(rows).split(maxsplit=1)
+        if key != name:
+            raise ValueError(f"expected a {name!r} line, got {key!r}")
+        return rest[0].split() if rest else []
 
-    candidate_count = count()
+    def count(name: str) -> int:
+        (value,) = section(name)
+        n = int(value)
+        if n < 0:
+            raise ValueError(f"negative {name} count {n}")
+        return n
 
-    n = count()
+    candidate_count = count("candidates")
+
+    n = count("obstacles")
     obstacles = []
     for k in range(n):
         x1, y1, x2, y2 = take()
         obstacles.append(Obstacle(k, x1, y1, x2, y2))
 
     edges = []
-    for _ in range(count()):
+    for _ in range(count("edges")):
         i, j = take()
         if not 0 <= i < j < n:
             raise ValueError(f"edge ({i}, {j}) outside 0 <= i < j < {n}")
         edges.append(make_gap_edge(obstacles[i], obstacles[j]))
 
-    grid = build_grid(obstacles, edges)
-    runs = [int(v) for v in next(rows).split()[1:]]
-    region_count = count()
+    grid = build_grid(obstacles)
+    runs = [int(v) for v in section("labels")]
+    region_count = count("regions")
     labels = _unrle(runs, grid.shape, region_count + len(edges))
     part = RegionPartition(grid, labels, region_count)
 
-    links = [tuple(take()) for _ in range(count())]
+    links = [tuple(take()) for _ in range(count("links"))]
+    if next(rows, None) is not None:
+        raise ValueError("trailing lines after the links")
 
     return FeasibilityIndex(
         obstacles=obstacles,

@@ -1,6 +1,6 @@
 """Shared test helpers: random worlds, random rectilinear polygons, a seal's
-region links, and the region adjacency graph that the planarity criterion
-bounds."""
+region links, the region adjacency graph that the planarity criterion
+bounds, and a per-cell reference for the straddling remap."""
 
 from __future__ import annotations
 
@@ -98,6 +98,26 @@ def linked_regions(links, region_count: int, seal: int) -> dict[int, int]:
     region_count + seal links to."""
     node = region_count + seal
     return {a: cap for a, b, cap in links if b == node and a < region_count}
+
+
+def straddling_node_reference(index, p: tuple[int, int], d: int, seal: int) -> int:
+    """Cell-by-cell statement of FeasibilityIndex._straddling_node: walk the
+    cells under the open body in x-major order and return the first
+    region; else the first seal whose capacity admits d; else `seal`."""
+    h = d // 2
+    px, py = p
+    part = index.partition
+    grid, labels, rc = part.grid, part.labels, part.region_count
+    wide = seal
+    rows = grid.span(grid.ys, py - h, py + h)
+    for ix in grid.span(grid.xs, px - h, px + h):
+        for iy in rows:
+            node = int(labels[ix, iy])
+            if 0 <= node < rc:
+                return node
+            if wide == seal and node >= rc and index.edges[node - rc].capacity >= d:
+                wide = node
+    return wide
 
 
 def region_adjacency(index) -> set[tuple[int, int]]:

@@ -283,6 +283,11 @@ class TestCli:
             EMPTY_INDEX.format(labels=f"{2**40} 0"),
             GAP_INDEX.format(edge="0 2"),  # obstacle 2 does not exist
             TOUCHING_INDEX,
+            EMPTY_INDEX.format(labels="25 0").replace("obstacles 0", "obstacles -1"),
+            EMPTY_INDEX.format(labels="25 0")
+            .replace("candidates", "whatever")
+            .replace("regions", "nonsense"),
+            EMPTY_INDEX.format(labels="25 0") + "garbage\n",
         ],
         ids=[
             "missing",
@@ -297,6 +302,9 @@ class TestCli:
             "label-run-overflow",
             "edge-out-of-range",
             "edge-no-passage",
+            "negative-count",
+            "misnamed-sections",
+            "trailing-line",
         ],
     )
     def test_unreadable_index_exits_1(self, command, content, tmp_path, capsys):

@@ -7,8 +7,10 @@ from gapgraph.cli import inject_fault
 from gapgraph.engine import Query, Verdict, build_index, preprocess
 from gapgraph.geometry import SYMMETRIES, Obstacle, ingest_world
 from gapgraph.oracle import oracle_feasible
+from gapgraph.partition import build_grid
+from gapgraph.worldgen import world_shapes
 
-from conftest import linked_regions, random_world
+from conftest import linked_regions, random_world, straddling_node_reference
 
 ROOM = [
     ("rect", (0, 0, 10, 1)),
@@ -116,6 +118,81 @@ class TestSealedRemap:
                 assert len(results) == 1
                 tried += 1
         assert tried >= 1
+
+
+def _general_position_index(rng: random.Random):
+    obstacles = []
+    for k in range(rng.randint(3, 16)):
+        x, y = rng.randint(0, 40), rng.randint(0, 40)
+        obstacles.append(Obstacle(k, x, y, x + rng.randint(1, 12), y + rng.randint(1, 12)))
+    return preprocess(obstacles)
+
+
+class TestStraddlingNode:
+    """_straddling_node against the cell-by-cell walk in conftest."""
+
+    def test_matches_cell_walk_in_narrow_seals(self):
+        # centres inside a seal narrower than the robot, bodies free
+        rng = random.Random(53)
+        tried = 0
+        for _ in range(150):
+            idx = _general_position_index(rng)
+            rc = idx.partition.region_count
+            for e in idx.edges:
+                r = e.edge_rect
+                for _ in range(10):
+                    p = (rng.randint(r.x1, r.x2), rng.randint(r.y1, r.y2))
+                    seal = idx.partition.locate(p)
+                    if seal < rc:
+                        continue
+                    d = 2 * (idx.edges[seal - rc].capacity // 2 + rng.randint(1, 4))
+                    if not idx.placement_free(p, d):
+                        continue
+                    got = idx._straddling_node(p, d, seal)
+                    assert got == straddling_node_reference(idx, p, d, seal)
+                    tried += 1
+        assert tried >= 50
+
+    def test_matches_cell_walk_on_every_branch(self):
+        # Real worlds rarely put a body wholly on seal cells, so relabel the
+        # cells under a free body at random: regions, wide and narrow seals.
+        rng = random.Random(54)
+        branches = set()
+        for _ in range(300):
+            idx = _general_position_index(rng)
+            part = idx.partition
+            rc, nodes = part.region_count, part.region_count + len(idx.edges)
+            p, d = (rng.randint(0, 52), rng.randint(0, 52)), 2 * rng.randint(1, 4)
+            narrow = [rc + k for k, e in enumerate(idx.edges) if e.capacity < d]
+            if not narrow or not idx.placement_free(p, d):
+                continue
+            body = part.labels[part.grid.body(p, d)]
+            if not body.size:
+                continue
+            choices = [*range(rc, nodes), *rng.sample(range(rc), min(rc, rng.randint(0, 2)))]
+            body[...] = [[rng.choice(choices) for _ in row] for row in body]
+            seal = rng.choice(narrow)
+            grid = part.grid
+            part.labels[grid.cell(grid.xs, p[0]), grid.cell(grid.ys, p[1])] = seal
+            got = idx._straddling_node(p, d, seal)
+            assert got == straddling_node_reference(idx, p, d, seal)
+            branches.add("region" if got < rc else "seal" if got == seal else "wide")
+        assert branches == {"region", "seal", "wide"}
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+def test_lattice_query_reads_at_most_2d_plus_1_squared_cells(n):
+    # On integer coordinates an open interval of length D meets at most D
+    # grid lines and D + 1 intervals between them, whatever n is.
+    grid = build_grid(ingest_world(world_shapes("uniform", n, 0)))
+    rng = random.Random(n)
+    lo, hi = grid.xs[0] // 2 - 3, grid.xs[-1] // 2 + 3
+    for side in range(1, 9):
+        for _ in range(500):
+            p = (2 * rng.randint(lo, hi), 2 * rng.randint(lo, hi))
+            bx, by = grid.body(p, 2 * side)
+            cells = (bx.stop - bx.start) * (by.stop - by.start)
+            assert cells <= (2 * side + 1) ** 2, (p, side, cells)
 
 
 def test_size_monotonicity():

@@ -1,12 +1,12 @@
-"""Property-based input fuzzing: malformed text and out-of-domain
-coordinates end in ValueError (a clean exit-1 message in the CLI), never in
-another exception."""
+"""Property-based fuzzing: malformed text and out-of-domain coordinates end
+in ValueError (a clean exit-1 message in the CLI), never in another
+exception; the index's grid placement check equals the obstacle scan."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapgraph.engine import build_index
-from gapgraph.geometry import COORD_LIMIT, ingest_world
+from gapgraph.geometry import COORD_LIMIT, ingest_world, placement_free
 from gapgraph.worldio import parse_queries, parse_world
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -58,3 +58,24 @@ def test_ingest_world_raises_only_value_error(rects):
         abs(v) <= 2 * COORD_LIMIT for o in obstacles for v in (o.x1, o.y1, o.x2, o.y2)
     )
     build_index([("rect", r) for r in rects])
+
+
+#: Small boxes on a narrow lattice, so ties, touching sides and overlaps
+#: are common.
+_BOXES = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3), st.integers(1, 3)),
+    max_size=6,
+)
+#: Half-unit points, odd ones included, from inside the world to well
+#: beyond its sentinel lines.
+_POINTS = st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=20)
+
+
+@FUZZ
+@given(_BOXES, _POINTS, st.integers(1, 16))
+@example([], [(4, 0)], 2)  # the body starts on the last sentinel line: empty block
+def test_grid_placement_check_equals_obstacle_scan(boxes, points, half_side):
+    index = build_index([("rect", (x, y, x + w, y + h)) for x, y, w, h in boxes])
+    d = 2 * half_side
+    for p in points:
+        assert index.placement_free(p, d) == placement_free(p, d, index.obstacles), (p, d)

@@ -8,7 +8,6 @@ from gapgraph.geometry import (
     Obstacle,
     Rect,
     capacity,
-    expand,
     gaps,
     ingest_world,
     placement_free,
@@ -119,25 +118,6 @@ class TestThinEdgeRect:
         a = rect_obstacle(0, 0, 0, 1, 1)
         b = rect_obstacle(1, 1, 0, 2, 1)
         assert thin_edge_rect(a, b) == Rect(1, 0, 1, 1)
-
-
-class TestExpand:
-    def test_identity_at_zero(self):
-        o = rect_obstacle(0, 0, 0, 2, 2)
-        assert expand(o, 0) == Rect(0, 0, 2, 2)
-
-    def test_unit_square_by_one_external_unit(self):
-        # external [0,1]^2 grown by d=1: [-0.5, 1.5]^2, exact in half-units
-        (o,) = ingest_world([("rect", (0, 0, 1, 1))])
-        assert expand(o, 2) == Rect(-1, -1, 3, 3)
-
-    def test_diagonal_fixture(self):
-        (o, _) = ingest_world([("rect", (0, 1, 2, 2)), ("rect", (3, 5, 5, 7))])
-        assert expand(o, 4) == Rect(-2, 0, 6, 6)  # external [-1,3]x[0,3]
-
-    def test_odd_halfunits_rejected(self):
-        with pytest.raises(ValueError):
-            expand(rect_obstacle(0, 0, 0, 2, 2), 3)
 
 
 class TestPlacementFree:

@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 from gapgraph.engine import Verdict
-from gapgraph.geometry import expand, ingest_world
+from gapgraph.geometry import Rect, ingest_world
 from gapgraph.oracle import oracle_feasible, oracle_relevant_edges
 
 from conftest import random_obstacles
@@ -80,7 +80,8 @@ def _bfs_feasible(obstacles, s, t, d):
     """Fully independent reference: pure-python BFS over the expanded grid."""
     if not obstacles:
         return Verdict.FEASIBLE
-    boxes = [expand(o, d) for o in obstacles]
+    h = d // 2
+    boxes = [Rect(o.x1 - h, o.y1 - h, o.x2 + h, o.y2 + h) for o in obstacles]
     xs = sorted({v for b in boxes for v in (b.x1, b.x2)})
     ys = sorted({v for b in boxes for v in (b.y1, b.y2)})
     xs = [xs[0] - 2] + xs + [xs[-1] + 2]
