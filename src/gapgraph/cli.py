@@ -4,7 +4,7 @@ Commands: build an index from a world file, run query batches, generate
 worlds, cross-check the engine against the brute-force planner, and render
 SVG snapshots.
 
-Exit codes: 0 = ran, 1 = input error, 2 = verification mismatch.
+Exit codes: 0 = ran, 1 = input or usage error, 2 = verification mismatch.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def _minimize(shapes, query, check):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.random < 1:
+        raise SystemExit(f"error: --random must be at least 1, got {args.random}")
     shapes = _load_world(args.world)
     rng = random.Random(args.seed)
     if args.queries:
@@ -231,7 +233,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--no-edges", action="store_true")
     p.set_defaults(func=cmd_render)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # a usage error; exit 2 here means a mismatch
+            return 1
+        raise
     try:
         return args.func(args)
     except SystemExit as exc:

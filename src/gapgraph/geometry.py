@@ -83,8 +83,6 @@ SYMMETRIES: tuple[Symmetry, ...] = tuple(
     Symmetry(rot, mir) for mir in (False, True) for rot in range(4)
 )
 
-IDENTITY = SYMMETRIES[0]
-
 #: Largest absolute external coordinate (and robot side) accepted.  Doubled
 #: into half-units and offset by a robot half-side of the same bound, every
 #: derived value still fits the int64 arrays the engine keeps.

@@ -9,9 +9,11 @@ unbounded region.  The grid lines are exactly the obstacle coordinates
 (build_grid); a gap rectangle's sides are coordinates of its own pair, so
 they lie on the grid too, and the grid is rebuilt from the obstacles,
 never stored.  Since every obstacle side is a grid line, each cell lies
-wholly inside or wholly outside each closed obstacle: the open square of
-side d at p meets an obstacle exactly when one of the cells it meets
-(DoubledGrid.body) is a wall.
+wholly inside or wholly outside each closed obstacle (wall_cells): an open
+rectangle meets an obstacle exactly when one of the cells it meets
+(DoubledGrid.box) is a wall.  One such test answers both the placement
+check (the open square of side d at p, DoubledGrid.body) and pathway
+clearance in the relevance filter.
 
 Cells covered by a closed obstacle are walls; cells covered by a gap edge's
 rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
@@ -27,12 +29,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
 
 from .geometry import Obstacle, Rect
-from .sweep import GapEdge
+
+if TYPE_CHECKING:  # sweep imports this module
+    from .sweep import GapEdge
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
@@ -65,6 +70,13 @@ class DoubledGrid:
         assert i < len(coords) and coords[i] == v, "coordinate not on grid"
         return 2 * i
 
+    def closed(self, r: Rect) -> tuple[slice, slice]:
+        """Cells inside the closed rectangle r, whose sides are grid lines."""
+        return (
+            slice(self.line(self.xs, r.x1), self.line(self.xs, r.x2) + 1),
+            slice(self.line(self.ys, r.y1), self.line(self.ys, r.y2) + 1),
+        )
+
     @classmethod
     def span(cls, coords: list[int], lo: int, hi: int) -> range:
         """Cells along one axis that the open interval (lo, hi) meets."""
@@ -75,14 +87,20 @@ class DoubledGrid:
             b -= 1
         return range(a, b + 1)
 
-    def body(self, p: tuple[int, int], d: int) -> tuple[slice, slice]:
-        """Cells that the open square of side d centred at p meets, as a
-        block of labels indices; empty when the square lies wholly beyond
-        a sentinel line."""
-        h = d // 2
-        sx = self.span(self.xs, p[0] - h, p[0] + h)
-        sy = self.span(self.ys, p[1] - h, p[1] + h)
+    def box(self, r: tuple[int, int, int, int]) -> tuple[slice, slice]:
+        """Cells that the open rectangle r = (x1, y1, x2, y2) meets, as a
+        block of labels indices.  Beyond a sentinel line the block holds
+        only ring cells, which are never walls."""
+        x1, y1, x2, y2 = r
+        sx = self.span(self.xs, x1, x2)
+        sy = self.span(self.ys, y1, y2)
         return slice(sx.start, sx.stop), slice(sy.start, sy.stop)
+
+    def body(self, p: tuple[int, int], d: int) -> tuple[slice, slice]:
+        """Cells that the open square of side d centred at p meets."""
+        h = d // 2
+        # A plain tuple, not a Rect: this runs twice in every query.
+        return self.box((p[0] - h, p[1] - h, p[0] + h, p[1] + h))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -116,6 +134,14 @@ def build_grid(obstacles: list[Obstacle]) -> DoubledGrid:
     return DoubledGrid(xs, ys)
 
 
+def wall_cells(grid: DoubledGrid, obstacles: list[Obstacle]) -> np.ndarray:
+    """bool mask of the cells inside a closed obstacle."""
+    walls = np.zeros(grid.shape, dtype=bool)
+    for o in obstacles:
+        walls[grid.closed(o.rect)] = True
+    return walls
+
+
 def build_partition(
     obstacles: list[Obstacle], edges: list[GapEdge]
 ) -> RegionPartition:
@@ -127,25 +153,18 @@ def build_partition(
     seals.
     """
     grid = build_grid(obstacles)
-    xs, ys = grid.xs, grid.ys
-
-    def cells(r: Rect) -> tuple[slice, slice]:
-        return (
-            slice(grid.line(xs, r.x1), grid.line(xs, r.x2) + 1),
-            slice(grid.line(ys, r.y1), grid.line(ys, r.y2) + 1),
-        )
-
-    seal_cells = [cells(e.edge_rect) for e in edges]
-    wall_cells = [cells(o.rect) for o in obstacles]
-    free = np.ones(grid.shape, dtype=bool)
-    for sl in (*seal_cells, *wall_cells):
+    seal_cells = [grid.closed(e.edge_rect) for e in edges]
+    free = ~wall_cells(grid, obstacles)
+    for sl in seal_cells:
         free[sl] = False
     labels, count = ndimage.label(free, structure=_CROSS, output=np.int32)
+    # Drop free and make the wall mask again below rather than keep it, so
+    # at most one bool grid lives beside labels.
+    del free
     labels -= 1  # scipy numbers regions from 1 and leaves 0 elsewhere
     for k, sl in enumerate(seal_cells):
         labels[sl] = count + k
-    for sl in wall_cells:
-        labels[sl] = WALL_CELL
+    labels[wall_cells(grid, obstacles)] = WALL_CELL
     return RegionPartition(grid, labels, int(count))
 
 

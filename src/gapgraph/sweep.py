@@ -10,20 +10,24 @@ most n pairs each.
 A candidate pair survives as an edge only if it has a passage (capacity >
 0) and no third obstacle intersects the open interior of its minimum
 pathway: the corridor between the pair, extended along the passage axis far
-enough for a maximum-size robot to enter and leave completely.  Pairs that
-overlap or touch have no gap; their contact lies inside both obstacles,
-which the partition walls off anyway, so they are dropped.  Boundary contact
-does not kill an edge (open robot, closed obstacles), so exactly aligned
-worlds can keep overlapping corridor seals whose abstract center segments
-cross; the partition is indifferent to that.
+enough for a maximum-size robot to enter and leave completely.  That test
+is the one the placement check uses: an open rectangle meets an obstacle
+exactly when one of the doubled grid's cells under it is a wall
+(partition.wall_cells, DoubledGrid.box).  Pairs that overlap or touch have
+no gap; their contact lies inside both obstacles, which the partition walls
+off anyway, so they are dropped.  Boundary contact does not kill an edge
+(open robot, closed obstacles), so exactly aligned worlds can keep
+overlapping corridor seals whose abstract center segments cross; the
+partition is indifferent to that.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .geometry import SYMMETRIES, Obstacle, Rect, capacity, gaps, thin_edge_rect
+from .partition import build_grid, wall_cells
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,28 +92,6 @@ def shadow_contains(anchor: Obstacle, other: Obstacle) -> bool:
 
 
 _INF = float("inf")
-
-
-class _Fenwick:
-    """Binary indexed tree: point add, prefix sum over 0..i."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
 
 
 class _MinTree:
@@ -263,90 +245,29 @@ def build_candidates(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
     return sorted(seen)
 
 
-def _clear_pathways(
-    pathways: list[Rect], obstacles: list[Obstacle]
-) -> list[bool]:
-    """For each pathway, whether no obstacle meets its open interior
-    (boundary contact does not block; a pair's own obstacles only ever
-    touch their pathway, so they are never counted).
-
-    Counts, for each query rectangle P, the obstacles disjoint from it:
-    by inclusion-exclusion that is the four single-axis counts minus the
-    four diagonal dominance counts.  All eight terms come from sorted
-    arrays and two offline Fenwick sweeps, O((n+m) log n) overall.
-    """
-    n = len(obstacles)
-    m = len(pathways)
-    if m == 0:
-        return []
-    if n == 0:
-        return [True] * m
-
-    x1s = sorted(o.x1 for o in obstacles)
-    x2s = sorted(o.x2 for o in obstacles)
-    y1s = sorted(o.y1 for o in obstacles)
-    y2s = sorted(o.y2 for o in obstacles)
-
-    ys_all = sorted({o.y1 for o in obstacles} | {o.y2 for o in obstacles})
-    yrank = {v: k for k, v in enumerate(ys_all)}
-    ny = len(ys_all)
-
-    disjoint = [0] * m
-    for q, p in enumerate(pathways):
-        disjoint[q] = (
-            bisect_right(x2s, p.x1)
-            + n - bisect_left(x1s, p.x2)
-            + bisect_right(y2s, p.y1)
-            + n - bisect_left(y1s, p.y2)
-        )
-
-    # Diagonal corrections: obstacles left of P (x2 <= P.x1), split by the
-    # y-disjointness side; then the mirror pass for obstacles right of P.
-    def dominance_pass(obs_key, obs_sorted, query_key, sign):
-        fen_y2 = _Fenwick(ny)
-        fen_y1 = _Fenwick(ny)
-        added = 0
-        order = sorted(range(m), key=lambda q: sign * query_key(pathways[q]))
-        k = 0
-        for q in order:
-            p = pathways[q]
-            bound = query_key(p)
-            while k < n and sign * obs_key(obs_sorted[k]) <= sign * bound:
-                fen_y2.add(yrank[obs_sorted[k].y2], 1)
-                fen_y1.add(yrank[obs_sorted[k].y1], 1)
-                added += 1
-                k += 1
-            below = fen_y2.prefix(bisect_right(ys_all, p.y1) - 1)
-            above = added - fen_y1.prefix(bisect_right(ys_all, p.y2 - 1) - 1)
-            disjoint[q] -= below + above
-
-    dominance_pass(
-        lambda o: o.x2,
-        sorted(obstacles, key=lambda o: o.x2),
-        lambda p: p.x1,
-        1,
-    )
-    dominance_pass(
-        lambda o: o.x1,
-        sorted(obstacles, key=lambda o: -o.x1),
-        lambda p: p.x2,
-        -1,
-    )
-    return [disjoint[q] == n for q in range(m)]
-
-
 def relevance_filter(
     candidates: list[tuple[int, int]], obstacles: list[Obstacle]
 ) -> list[GapEdge]:
     """Gap edges, in candidate order, of the candidate pairs that have a
-    passage and whose open pathway interior is obstacle-free."""
+    passage and whose open pathway interior is obstacle-free.
+
+    Clearance is read off the doubled grid's wall cells, the test the
+    index's placement check uses: every obstacle side is a grid line and a
+    pair's own obstacles lie outside its pathway's open interior, so a
+    pathway is clear exactly when no cell it meets (DoubledGrid.box) is a
+    wall.  The cost is Theta(grid cells), like build_partition: the wall
+    mask, then the blocks under the pathways, which on general-position
+    worlds (perfbench sparse_world, n = 500-3000) add up to about 17 times
+    the grid's cell count.
+    """
+    grid = build_grid(obstacles)
+    walls = wall_cells(grid, obstacles)
     edges = [
         make_gap_edge(obstacles[i], obstacles[j])
         for i, j in candidates
         if capacity(obstacles[i], obstacles[j]) > 0
     ]
-    clear = _clear_pathways([e.pathway for e in edges], obstacles)
-    return [e for e, ok in zip(edges, clear) if ok]
+    return [e for e in edges if not walls[grid.box(e.pathway)].any()]
 
 
 def build_gap_edges(obstacles: list[Obstacle]) -> list[GapEdge]:

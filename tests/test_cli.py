@@ -225,6 +225,23 @@ class TestCli:
         body = dump.read_text()
         assert "engine=" in body and "R " in body
 
+    @pytest.mark.parametrize("argv", [["gen", "-n", "abc"], ["verify"]])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--random" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_verify_random_below_1_exits_1(self, room, count, capsys):
+        assert main(["verify", str(room), "--random", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "agree" not in captured.out
+
     @pytest.mark.parametrize("value, code", [(2**62, 1), (2**60, 0)])
     def test_build_coordinate_domain(self, value, code, tmp_path, capsys):
         world = tmp_path / "far.txt"

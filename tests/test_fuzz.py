@@ -1,12 +1,14 @@
 """Property-based fuzzing: malformed text and out-of-domain coordinates end
 in ValueError (a clean exit-1 message in the CLI), never in another
-exception; the index's grid placement check equals the obstacle scan."""
+exception; the grid's open-box wall test, alone and as the index's
+placement check, equals the obstacle scan."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapgraph.engine import build_index
-from gapgraph.geometry import COORD_LIMIT, ingest_world, placement_free
+from gapgraph.geometry import COORD_LIMIT, Rect, ingest_world, placement_free
+from gapgraph.partition import build_grid, wall_cells
 from gapgraph.worldio import parse_queries, parse_world
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -79,3 +81,30 @@ def test_grid_placement_check_equals_obstacle_scan(boxes, points, half_side):
     d = 2 * half_side
     for p in points:
         assert index.placement_free(p, d) == placement_free(p, d, index.obstacles), (p, d)
+
+
+@FUZZ
+@given(
+    _BOXES,
+    st.lists(
+        st.tuples(_POINTS.map(lambda ps: ps[0]), st.integers(1, 40), st.integers(1, 40)),
+        min_size=1,
+        max_size=20,
+    ),
+)
+# One box of half-units (0, 0)-(2, 2), sentinels at -2 and 4: a rectangle
+# that ends on the bottom x sentinel line, and one that spans the grid.
+@example([(0, 0, 1, 1)], [((-30, 1), 28, 2), ((-30, -30), 40, 40)])
+def test_grid_box_wall_check_equals_obstacle_scan(boxes, corners_and_sizes):
+    """Open rectangles of independent width and height, corners on odd and
+    even half-units, reaching beyond the sentinels."""
+    obstacles = ingest_world([("rect", (x, y, x + w, y + h)) for x, y, w, h in boxes])
+    grid = build_grid(obstacles)
+    walls = wall_cells(grid, obstacles)
+    for (x, y), w, h in corners_and_sizes:
+        r = Rect(x, y, x + w, y + h)
+        hit = any(
+            o.x1 < r.x2 and o.x2 > r.x1 and o.y1 < r.y2 and o.y2 > r.y1
+            for o in obstacles
+        )
+        assert walls[grid.box(r)].any() == hit, r

@@ -186,6 +186,16 @@ class TestRelevanceFilter:
             obs = random_obstacles(rng, rng.randint(1, 22), span=12)
             built = {(e.i, e.j) for e in build_gap_edges(obs)}
             assert built == oracle_relevant_edges(obs)
+        # General position: odd half-unit coordinates spread widely, so
+        # pathway ends fall between grid lines and beyond the sentinels.
+        for _ in range(120):
+            obs = []
+            for k in range(rng.randint(1, 22)):
+                x, y = (2 * rng.randint(-500, 500) + 1 for _ in range(2))
+                w, h = (2 * rng.randint(1, 150) for _ in range(2))
+                obs.append(Obstacle(k, x, y, x + w, y + h))
+            built = {(e.i, e.j) for e in build_gap_edges(obs)}
+            assert built == oracle_relevant_edges(obs)
 
     def test_superseding_inequalities_for_removed_edges(self):
         rng = random.Random(25)
