@@ -30,7 +30,6 @@ from .sweep import (
     build_gap_edges,
     minimum_pathway,
     relevance_filter,
-    shadow_contains,
     shadow_sweep_pass,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "polygon_area",
     "preprocess",
     "relevance_filter",
-    "shadow_contains",
     "shadow_sweep_pass",
     "thin_edge_rect",
 ]

@@ -1,11 +1,33 @@
 """Gap-constraint edge construction.
 
-Candidate obstacle pairs come from a left-to-right sweep that matches each
-obstacle against earlier ones whose bottom side lies in its shadow region
-(the trapezoid left of the obstacle, above its bottom line, below a
-45-degree diagonal from its top-left corner); matched obstacles retire from
-the active set.  Eight symmetry passes cover the whole plane and emit at
-most n pairs each.
+Candidate obstacle pairs come from eight passes, one per plane symmetry
+(geometry.SYMMETRIES), each run on the obstacles as int64 columns.  A pass
+orders the obstacles as anchors by (x1, y1, id) and pairs each obstacle o
+with anchors whose shadow region (the trapezoid left of the anchor, above
+its bottom line, below a 45-degree diagonal from its top-left corner) holds
+o's bottom side.  Anchor a "fits" o when
+
+    a.x1 >= o.x2,   a.y1 <= o.y1,   a.x1 + a.y2 >= o.x2 + o.y1.
+
+With first(o) the first anchor that fits o and second(o) the next one, a
+pass emits:
+
+- the primary pair (first(o), o), at most one per obstacle (<= n a pass);
+- the ghost pair (second(o), o), unless the pair has no passage or
+  first(o)'s obstacle meets the open interior of its minimum pathway;
+- tie recovery: when first(o)'s x1 group holds more than one anchor, o pairs
+  with every anchor of that group that fits it, and likewise for
+  second(o)'s group when the ghost pair was emitted.
+
+This is exactly the output of a left-to-right sweep in which each anchor
+deletes the active obstacles in its shadow and deleted ones linger once as
+ghosts (tests/sweep_reference.py keeps that sweep as the reference).  "The
+first anchor at position >= K that fits o" is a three-sided query, answered
+for every obstacle at once by a static merge-sort tree over the anchor order
+(_FitTree): O(n log n) memory per pass, freed before the next one, and
+O(log n) numpy passes per batch of queries.  A pass runs a batch for
+first(o), one for second(o), and one per round of tie recovery, so its cost
+follows the pairs it emits.
 
 A candidate pair survives as an edge only if it has a passage (capacity >
 0) and no third obstacle intersects the open interior of its minimum
@@ -19,15 +41,22 @@ off anyway, so they are dropped.  Boundary contact does not kill an edge
 (open robot, closed obstacles), so exactly aligned worlds can keep
 overlapping corridor seals whose abstract center segments cross; the
 partition is indifferent to that.
+
+Coordinates are half-units of at most 2**61 in magnitude (geometry.
+COORD_LIMIT doubled), so x1 + y2 and every pathway end stay below 2**63.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from .geometry import SYMMETRIES, Obstacle, Rect, capacity, gaps, thin_edge_rect
+import numpy as np
+
+from .geometry import SYMMETRIES, Obstacle, Rect, Symmetry, capacity, gaps, thin_edge_rect
 from .partition import build_grid, wall_cells
+
+#: Candidates whose pathways relevance_filter computes at once.
+_FILTER_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +101,23 @@ def minimum_pathway(a: Obstacle, b: Obstacle) -> Rect | None:
     )
 
 
+def _pathways(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """minimum_pathway over int64 rect rows a, b of shape (4, m) (x1, y1,
+    x2, y2): the larger axis gap s (a passage when > 0) and the pathway's
+    x1, y1, x2, y2, meaningful only where s > 0."""
+    lx, ly = np.maximum(a[:2], b[:2])
+    hx, hy = np.minimum(a[2:], b[2:])
+    gx, gy = lx - hx, ly - hy
+    s = np.maximum(gx, gy)
+    h = gy >= gx  # the y gap is the bottleneck; the robot crosses horizontally
+    return s, [
+        np.where(h, lx - s, hx),
+        np.where(h, hy, ly - s),
+        np.where(h, hx + s, lx),
+        np.where(h, ly, hy + s),
+    ]
+
+
 def make_gap_edge(a: Obstacle, b: Obstacle) -> GapEdge:
     """The gap edge of a pair; ValueError when the pair has no passage."""
     if a.id > b.id:
@@ -82,167 +128,211 @@ def make_gap_edge(a: Obstacle, b: Obstacle) -> GapEdge:
     return GapEdge(a.id, b.id, capacity(a, b), thin_edge_rect(a, b), pathway)
 
 
-def shadow_contains(anchor: Obstacle, other: Obstacle) -> bool:
-    """Whether other's bottom side lies entirely in anchor's shadow region."""
-    return (
-        other.x2 <= anchor.x1
-        and other.y1 >= anchor.y1
-        and other.y1 <= anchor.y2 + (anchor.x1 - other.x2)
-    )
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array: np.unique by sorting, which
+    for int64 runs several times faster than np.unique's hash table."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
-_INF = float("inf")
+class _FitTree:
+    """Static merge-sort tree over the anchor order for the three-sided
+    query "first position >= k with y1 rank <= y and (x1 + y2) rank >= t".
 
-
-class _MinTree:
-    """Segment tree over leaf slots holding a value per slot (inf = empty);
-    reports and clears every slot >= lo whose value is <= bound."""
-
-    def __init__(self, n: int):
-        size = 1
-        while size < max(1, n):
-            size *= 2
-        self.size = size
-        self.vals = [_INF] * (2 * size)
-
-    def set(self, i: int, value: float) -> None:
-        vals = self.vals
-        i += self.size
-        vals[i] = value
-        i >>= 1
-        while i:
-            vals[i] = min(vals[2 * i], vals[2 * i + 1])
-            i >>= 1
-
-    def pop_leq(self, lo: int, bound: int) -> list[int]:
-        """All slots >= lo with value <= bound, ascending; cleared on report."""
-        vals = self.vals
-        out: list[int] = []
-        stack = [(1, 0, self.size)]
-        while stack:
-            node, nl, nr = stack.pop()
-            if nr <= lo or vals[node] > bound:
-                continue
-            if node >= self.size:
-                out.append(node - self.size)
-                continue
-            mid = (nl + nr) // 2
-            # push right first so the left child is handled first (ascending)
-            stack.append((2 * node + 1, mid, nr))
-            stack.append((2 * node, nl, mid))
-        for slot in out:
-            self.set(slot, _INF)
-        return out
-
-
-def _blocks(blocker: Obstacle, pathway: Rect | None) -> bool:
-    """Whether the blocker meets the open interior of the pathway (boundary
-    contact is not blocking, matching the relevance semantics)."""
-    if pathway is None:
-        return True  # capacity-0 pairs never need recovering
-    return (
-        blocker.x1 < pathway.x2
-        and blocker.x2 > pathway.x1
-        and blocker.y1 < pathway.y2
-        and blocker.y2 > pathway.y1
-    )
-
-
-def _sweep_pass_full(
-    obstacles: list[Obstacle],
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """One sweep pass: obstacles ascending by (x1, y1, id); each anchor pairs
-    with and deletes every active obstacle whose bottom side lies in its
-    shadow region, scanning upward in (y1, id) order.
-
-    Actives are staged: an obstacle stays "young" until the sweep passes its
-    right side (before that, x2 <= anchor.x1 cannot hold), then joins the
-    query tree keyed by y1-rank with value y1 + x2.  The shadow test for a
-    mature obstacle is exactly y1 >= anchor.y1 and y1 + x2 <= anchor.y2 +
-    anchor.x1, so one range pop per anchor yields all matches in O(log n)
-    each.  Every emitted pair deletes an active entry: a pass emits <= n
-    pairs and runs in O(n log n).
-
-    Deleting a matched entry assumes the matcher blocks the entry's pathway
-    to every later anchor, which fails in two degenerate ways: anchors tied
-    on x1 only touch each other's pathways, and an exactly-aligned matcher
-    can graze a later pathway's boundary.  Both are recovered outside the
-    primary emission budget: entries matched within an x1 group are
-    re-offered to the group's other anchors, and deleted entries linger once
-    as ghosts that the next matching anchor may claim unless the recorded
-    deleter genuinely blocks that pair.  Recovered pairs are returned
-    separately; each ghost is claimed at most once, so they also number at
-    most n per pass.
+    Level l splits the padded positions into nodes of 2**l, each keeping
+    its entries sorted by (y1 rank, position).  Beside that order a level
+    keeps the running maximum of the (x1 + y2) ranks within each node
+    (pmax), so a node holding c entries of y1 rank <= y has a hit when pmax
+    at its c-th entry reaches t, and the count of entries that came from
+    the left child (lefts), so a child's c follows from its parent's in one
+    lookup.  Padding sorts last and has (x1 + y2) rank -1, so it never hits.
+    Positions, ranks and counts are int32, which halves the memory the
+    walks stream through.
     """
-    order = sorted(obstacles, key=lambda o: (o.x1, o.y1, o.id))
-    by_rank = sorted(order, key=lambda o: (o.y1, o.id))
-    rank = {o.id: k for k, o in enumerate(by_rank)}
-    keys = [(o.y1, o.id) for o in by_rank]
-    by_x2 = sorted(order, key=lambda o: (o.x2, o.id))
-    tree = _MinTree(len(order))
-    ghosts = _MinTree(len(order))
-    deleter: dict[int, Obstacle] = {}
-    promote_at = 0
-    pairs: list[tuple[int, int]] = []
-    extras: list[tuple[int, int]] = []
-    g = 0
-    while g < len(order):
-        h = g
-        while h < len(order) and order[h].x1 == order[g].x1:
-            h += 1
-        group = order[g:h]
-        while promote_at < len(by_x2) and by_x2[promote_at].x2 <= group[0].x1:
-            o = by_x2[promote_at]
-            # Anything with x2 <= x1 here was anchored strictly earlier.
-            tree.set(rank[o.id], o.y1 + o.x2)
-            promote_at += 1
-        claimed: list[Obstacle] = []
-        for anchor in group:
-            lo = bisect_left(keys, (anchor.y1, -1))
-            bound = anchor.y2 + anchor.x1
-            # Ghosts first, so entries this anchor deletes below are not
-            # immediately reclaimed by their own deleter.
-            for slot in ghosts.pop_leq(lo, bound):
-                o = by_rank[slot]
-                if not _blocks(deleter[o.id], minimum_pathway(anchor, o)):
-                    extras.append((anchor.id, o.id))
-                    claimed.append(o)
-            for slot in tree.pop_leq(lo, bound):
-                o = by_rank[slot]
-                pairs.append((anchor.id, o.id))
-                claimed.append(o)
-                deleter[o.id] = anchor
-                ghosts.set(slot, o.y1 + o.x2)
-        if len(group) > 1 and claimed:
-            for o in claimed:
-                for anchor in group:
-                    if shadow_contains(anchor, o):
-                        extras.append((anchor.id, o.id))
-        g = h
-    return pairs, extras
+
+    def __init__(self, yrank: np.ndarray, srank: np.ndarray, ny: int):
+        n = len(yrank)
+        self.size = size = 1 << (n - 1).bit_length()
+        self.depth = (size - 1).bit_length()
+        self.ys = np.sort(yrank)
+        yr = np.full(size, ny, dtype=np.int32)
+        sr = np.full(size, -1, dtype=np.int32)
+        yr[:n], sr[:n] = yrank, srank
+        # The root holds every position by (y1 rank, position); each level
+        # splits its nodes stably into their two children for the next.
+        order = np.argsort(yr, kind="stable").astype(np.int32)
+        index = np.arange(size, dtype=np.int32)
+        self.pmax: dict[int, np.ndarray] = {}
+        self.lefts: dict[int, np.ndarray] = {}  # levels >= 1
+        for level in range(self.depth, -1, -1):
+            nodes = sr[order].reshape(-1, 1 << level)  # one row per node
+            self.pmax[level] = np.maximum.accumulate(nodes, axis=1).ravel()
+            if level == 0:
+                break
+            node = order >> level
+            half = 1 << (level - 1)
+            from_left = order & half == 0
+            lefts = np.zeros(size + 1, dtype=np.int32)
+            np.cumsum(from_left, out=lefts[1:])
+            self.lefts[level] = lefts
+            # Each node holds exactly `half` entries from its left child.
+            left_rank = lefts[:-1] - node * half
+            dest = np.where(
+                from_left, (node << level) + left_rank, index + half - left_rank
+            )
+            child = np.empty_like(order)
+            child[dest] = order
+            order = child
+
+    def first(self, k: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Per query, the first hit at position >= k, or size when none.
+
+        The suffix [k, size) is leaf k plus the right sibling of every node
+        where the root-to-leaf path to k turns left.  One walk down that
+        path finds the deepest of them with a hit, the first in position
+        order; a second walk follows its leftmost children with a hit."""
+        size, pmax, lefts = self.size, self.pmax, self.lefts
+        live = k < size
+        k = np.minimum(k, size - 1).astype(np.int32)
+        t = t.astype(np.int32)
+        # Entries of y1 rank <= y in the root, then in the path's node.
+        c = np.searchsorted(self.ys, y, side="right").astype(np.int32)
+        found = np.full(len(k), -1, dtype=np.int32)  # level of the sibling with a hit
+        found_c = c  # and its c
+        for level in range(self.depth, 0, -1):
+            half = 1 << (level - 1)
+            base = k & -(1 << level)  # start of the path's node
+            cl = lefts[level][base + c] - (base >> 1)
+            cr = c - cl
+            turn = k & half == 0  # left, so the right sibling is in the suffix
+            hit = turn & (cr > 0) & (pmax[level - 1][base + (half - 1) + cr] >= t)
+            found = np.where(hit, level - 1, found)
+            found_c = np.where(hit, cr, found_c)
+            c = np.where(turn, cl, cr)
+        at = np.where(live & (c > 0) & (pmax[0][k] >= t), k, size)
+
+        q = np.flatnonzero(live & (at == size) & (found >= 0))
+        q = q[np.argsort(-found[q], kind="stable")]
+        levels = found[q]
+        node = (k[q] >> levels + 1 << 1) + 1
+        c, t = found_c[q], t[q]
+        # Sorted by level, the nodes still above `level` are a prefix.
+        for level in range(self.depth - 1, 0, -1):
+            m = np.searchsorted(-levels, -level, side="right")
+            base = node[:m] << level
+            cl = lefts[level][base + c[:m]] - (base >> 1)
+            left = (cl > 0) & (pmax[level - 1][base + cl - 1] >= t[:m])
+            node[:m] = 2 * node[:m] + 1 - left
+            c[:m] = np.where(left, cl, c[:m] - cl)
+        at[q] = node
+        return at
+
+
+def _sweep_pass(
+    ids: np.ndarray, rects: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One symmetry pass over int64 ids and (4, n) rect rows: (anchor
+    ids, obstacle ids) of the primary pairs in emission order (by first(o)'s
+    position, then by o's (y1, id)), then those of the ghost and
+    tie-recovery pairs, possibly repeated.  See the module docstring."""
+    order = np.lexsort((ids, rects[1], rects[0]))
+    ids, rects = ids[order], rects[:, order]
+    x1, y1, x2, y2 = rects
+    ys = _unique(y1)
+    yrank = np.searchsorted(ys, y1)
+    reach = x1 + y2
+    reaches = _unique(reach)
+    tree = _FitTree(yrank, np.searchsorted(reaches, reach), len(ys))
+    n = len(ids)
+    # Per obstacle: the first anchor with x1 >= its x2, and the (x1 + y2)
+    # rank an anchor needs to reach x2 + y1.
+    start = np.searchsorted(x1, x2)
+    need = np.searchsorted(reaches, x2 + y1)
+
+    def fits_after(k: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """Per obstacle position o, the first anchor position >= k that fits
+        it, or >= n when none does."""
+        return tree.first(np.maximum(k, start[o]), yrank[o], need[o])
+
+    o = np.arange(n)
+    first = fits_after(np.zeros_like(o), o)
+    o, first = o[first < n], first[first < n]
+    emit = np.lexsort((ids[o], y1[o], first))
+    primary = ids[first[emit]], ids[o[emit]]
+
+    second = fits_after(first + 1, o)
+    g = second < n
+    o2, first2, second = o[g], first[g], second[g]
+    s, (px1, py1, px2, py2) = _pathways(rects[:, second], rects[:, o2])
+    bx1, by1, bx2, by2 = rects[:, first2]
+    blocked = (bx1 < px2) & (bx2 > px1) & (by1 < py2) & (by2 > py1)
+    ghost = (s > 0) & ~blocked
+    o2, second = o2[ghost], second[ghost]
+
+    anchors, others = [second], [o2]
+    # Tie recovery walks on through the claiming anchor's x1 group.  The
+    # group ascends by y1, so its anchors with y1 <= o.y1 end at `end`.
+    group_y = np.cumsum(np.diff(x1, prepend=x1[0]) != 0) * len(ys) + yrank
+    at = np.concatenate([first, second])
+    o = np.concatenate([o, o2])
+    end = np.searchsorted(group_y, group_y[at] - yrank[at] + yrank[o], side="right")
+    more = at + 1 < end
+    while more.any():
+        at = fits_after(at[more] + 1, o[more])
+        o, end = o[more], end[more]
+        fit = at < end
+        anchors.append(at[fit])
+        others.append(o[fit])
+        more = fit & (at + 1 < end)
+    return (
+        *primary,
+        ids[np.concatenate(anchors)],
+        ids[np.concatenate(others)],
+    )
+
+
+def _columns(obstacles: list[Obstacle]) -> tuple[np.ndarray, np.ndarray]:
+    """The obstacles' int64 ids and their (4, n) rect rows x1, y1, x2, y2."""
+    cols = np.array(
+        [(o.id, o.x1, o.y1, o.x2, o.y2) for o in obstacles], dtype=np.int64
+    ).reshape(-1, 5)
+    return cols[:, 0], np.ascontiguousarray(cols[:, 1:].T)
+
+
+def _transform(sym: Symmetry, rects: np.ndarray) -> np.ndarray:
+    """Symmetry.rect over (4, n) int64 rect rows."""
+    ax, ay = sym.point(rects[0], rects[1])
+    bx, by = sym.point(rects[2], rects[3])
+    return np.array(
+        [np.minimum(ax, bx), np.minimum(ay, by), np.maximum(ax, bx), np.maximum(ay, by)]
+    )
 
 
 def shadow_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
-    """Primary emissions of one sweep pass (at most one per deleted entry,
-    so at most n in total)."""
-    return _sweep_pass_full(obstacles)[0]
+    """Primary pairs (first(o), o) of one pass, as (anchor id, obstacle id)
+    in emission order: at most one per obstacle, so at most n."""
+    if not obstacles:
+        return []
+    anchor, other, _, _ = _sweep_pass(*_columns(obstacles))
+    return list(zip(anchor.tolist(), other.tolist()))
 
 
 def build_candidates(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
-    """Deduplicated candidate pairs from all eight symmetry passes (<= 8n
-    primary emissions, plus the rare tie-group recoveries)."""
-    seen: set[tuple[int, int]] = set()
+    """Sorted, deduplicated candidate pairs (i < j) from all eight symmetry
+    passes: <= 8n primary pairs plus ghost and tie recoveries."""
+    if not obstacles:
+        return []
+    ids, rects = _columns(obstacles)
+    m = int(ids.max()) + 1
+    keys = []
     for sym in SYMMETRIES:
-        transformed = []
-        for o in obstacles:
-            r = sym.rect(o.rect)
-            transformed.append(Obstacle(o.id, r.x1, r.y1, r.x2, r.y2))
-        pairs, extras = _sweep_pass_full(transformed)
-        for a, b in pairs:
-            seen.add((a, b) if a < b else (b, a))
-        for a, b in extras:
-            seen.add((a, b) if a < b else (b, a))
-    return sorted(seen)
+        pass_pairs = _sweep_pass(ids, _transform(sym, rects))
+        for a, b in (pass_pairs[:2], pass_pairs[2:]):
+            keys.append(np.minimum(a, b) * m + np.maximum(a, b))
+    i, j = np.divmod(_unique(np.concatenate(keys)), m)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def relevance_filter(
@@ -251,23 +341,35 @@ def relevance_filter(
     """Gap edges, in candidate order, of the candidate pairs that have a
     passage and whose open pathway interior is obstacle-free.
 
-    Clearance is read off the doubled grid's wall cells, the test the
-    index's placement check uses: every obstacle side is a grid line and a
-    pair's own obstacles lie outside its pathway's open interior, so a
-    pathway is clear exactly when no cell it meets (DoubledGrid.box) is a
-    wall.  The cost is Theta(grid cells), like build_partition: the wall
-    mask, then the blocks under the pathways, which on general-position
-    worlds (perfbench sparse_world, n = 500-3000) add up to about 17 times
-    the grid's cell count.
+    Gaps and pathways are computed as int64 columns, _FILTER_BLOCK
+    candidates at a time; only the passable ones are tested and only the
+    kept ones become GapEdges.  Clearance is read off the doubled grid's
+    wall cells, the test the index's placement check uses: every obstacle
+    side is a grid line and a pair's own obstacles lie outside its
+    pathway's open interior, so a pathway is clear exactly when no cell it
+    meets (DoubledGrid.box) is a wall.  The cost is Theta(grid cells), like
+    build_partition: the wall mask, then the blocks under the pathways,
+    which on general-position worlds (perfbench sparse_world, n =
+    500-3000) add up to about 17 times the grid's cell count.
     """
     grid = build_grid(obstacles)
     walls = wall_cells(grid, obstacles)
-    edges = [
-        make_gap_edge(obstacles[i], obstacles[j])
-        for i, j in candidates
-        if capacity(obstacles[i], obstacles[j]) > 0
-    ]
-    return [e for e in edges if not walls[grid.box(e.pathway)].any()]
+    pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
+    rects = _columns(obstacles)[1]
+    kept: list[int] = []
+    # A block at a time: the columns and rows of every candidate at once
+    # were the largest allocation of a lattice world's build.
+    for start in range(0, len(pairs), _FILTER_BLOCK):
+        block = pairs[start : start + _FILTER_BLOCK]
+        s, pathway = _pathways(rects[:, block[:, 0]], rects[:, block[:, 1]])
+        passable = np.flatnonzero(s > 0)
+        rows = np.stack(pathway, axis=1)[passable].tolist()
+        kept += [
+            start + k
+            for k, r in zip(passable.tolist(), rows)
+            if not walls[grid.box(r)].any()
+        ]
+    return [make_gap_edge(obstacles[i], obstacles[j]) for i, j in pairs[kept].tolist()]
 
 
 def build_gap_edges(obstacles: list[Obstacle]) -> list[GapEdge]:

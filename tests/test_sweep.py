@@ -1,15 +1,19 @@
+import math
 import random
+import timeit
 
 import pytest
 
+from gapgraph.engine import Query, build_index
 from gapgraph.geometry import (
+    COORD_LIMIT,
     SYMMETRIES,
     Obstacle,
     Rect,
     capacity,
     ingest_world,
 )
-from gapgraph.oracle import oracle_relevant_edges
+from gapgraph.oracle import oracle_feasible, oracle_relevant_edges
 from gapgraph.partition import WALL_CELL, build_partition
 from gapgraph.sweep import (
     build_candidates,
@@ -17,12 +21,13 @@ from gapgraph.sweep import (
     make_gap_edge,
     minimum_pathway,
     relevance_filter,
-    shadow_contains,
     shadow_sweep_pass,
 )
+from gapgraph.worldgen import world_shapes
 
 from conftest import random_obstacles
 from planarity import is_diagonal, non_crossing_violations
+from sweep_reference import reference_candidates, reference_sweep_pass, shadow_contains
 
 # External-unit fixtures, doubled by hand.
 DIAG_A = Obstacle(0, 0, 2, 4, 4)      # [0,2]x[1,2]
@@ -163,6 +168,117 @@ class TestBuildCandidates:
             assert oracle_relevant_edges(obs) <= cands
 
 
+def _tied_columns(rng: random.Random, n: int) -> list[Obstacle]:
+    """Boxes whose x1 falls on one of a few shared columns, so that x1
+    groups are large and anchors in them fit the same obstacles."""
+    columns = rng.randint(1, 6)
+    shapes = []
+    for _ in range(n):
+        x, y = 3 * rng.randrange(columns), rng.randint(0, 20)
+        shapes.append(("rect", (x, y, x + rng.randint(1, 3), y + rng.randint(1, 4))))
+    return ingest_world(shapes)
+
+
+def _general_position(rng: random.Random, n: int) -> list[Obstacle]:
+    """Odd half-unit corners spread widely: no two sides share a line."""
+    obs = []
+    for k in range(n):
+        x, y = (2 * rng.randint(-500, 500) + 1 for _ in range(2))
+        w, h = (2 * rng.randint(1, 150) for _ in range(2))
+        obs.append(Obstacle(k, x, y, x + w, y + h))
+    return obs
+
+
+def _reference_worlds():
+    rng = random.Random(27)
+    for span in range(4, 31, 2):
+        for _ in range(8):
+            yield random_obstacles(rng, rng.randint(1, 30), span)
+    for k in range(45):
+        kind = ("uniform", "cluster", "maze")[k % 3]
+        yield ingest_world(world_shapes(kind, 1 + (k * 37) % 120, 500 + k))
+    for _ in range(60):
+        yield _tied_columns(rng, rng.randint(1, 40))
+    for _ in range(60):
+        yield _general_position(rng, rng.randint(1, 30))
+
+
+class TestMatchesReference:
+    """The numpy pass reproduces the retired pure-Python sweep
+    (tests/sweep_reference.py) pair for pair and in the same order."""
+
+    def test_build_candidates(self):
+        for obs in _reference_worlds():
+            assert build_candidates(obs) == reference_candidates(obs), obs
+
+    def test_shadow_sweep_pass_under_every_symmetry(self):
+        for obs in _reference_worlds():
+            for sym in SYMMETRIES:
+                transformed = [Obstacle(o.id, *sym.rect(o.rect)) for o in obs]
+                assert shadow_sweep_pass(transformed) == reference_sweep_pass(
+                    transformed
+                ), (sym, obs)
+
+
+def test_int64_headroom_at_the_coordinate_limit():
+    """Boxes at the corners of [-2**60, 2**60] (external units): in
+    half-units x1 + y2 reaches 2**62 and aligned corner pairs put pathway
+    ends near -3 * 2**61, all below 2**63.  An int64 overflow would part
+    the sweep from the reference (Python ints) or the index from the
+    oracle."""
+    e = COORD_LIMIT
+    shapes = [("rect", (x, y, x + 1, y + 1)) for x in (-e, e - 1) for y in (-e, e - 1)]
+    shapes += [
+        ("rect", (-e, -1, 3 - e, 2)),
+        ("rect", (0, 0, 1, 1)),
+        ("rect", (e - 5, 3, e, 9)),
+        ("rect", (-7, e - 2, 5, e)),
+    ]
+    obstacles = ingest_world(shapes)
+    assert build_candidates(obstacles) == reference_candidates(obstacles)
+    index = build_index(shapes)
+    assert {(g.i, g.j) for g in index.edges} == oracle_relevant_edges(obstacles)
+    rng = random.Random(28)
+    verdicts = set()
+    for _ in range(60):
+        s, t = ((rng.randint(-2 * e, 2 * e), rng.randint(-2 * e, 2 * e)) for _ in range(2))
+        d = 2 * rng.choice([1, 2**20, e // 4, e // 2, e])
+        got = index.feasible(Query(s, t, d))
+        assert got == oracle_feasible(obstacles, s, t, d), (s, t, d)
+        verdicts.add(got)
+    assert len(verdicts) >= 2
+
+
+def _staggered_ties(n: int) -> list[Obstacle]:
+    """sqrt(n) columns of 2x2 boxes at pitch 3; a column's boxes share x1,
+    and its rows sit half a box off those of the columns beside it."""
+    side = math.isqrt(n)
+    shapes = []
+    for k in range(n):
+        col, row = divmod(k, side)
+        y = 3 * row + col % 2
+        shapes.append(("rect", (3 * col, y, 3 * col + 2, y + 2)))
+    return ingest_world(shapes)
+
+
+def test_staggered_tie_doubling_ratio():
+    """Two doublings of n cost at most 2.3x each (ROADMAP item 4); an
+    n log n sweep gives about 4 * 15 / 13 = 4.6 over both.  Best of three
+    timings at each size, since one timing of one doubling spreads widely.
+    The sizes take turns and a timing at 8 000 covers four builds, so a
+    fast or slow spell of the machine meets both sizes alike; timeit keeps
+    the garbage collector, which walks the whole test process, out of
+    them."""
+    worlds = {n: _staggered_ties(n) for n in (8_000, 32_000)}
+    best = dict.fromkeys(worlds, math.inf)
+    for _ in range(3):
+        for n, obstacles in worlds.items():
+            builds = 32_000 // n
+            seconds = timeit.timeit(lambda: build_candidates(obstacles), number=builds)
+            best[n] = min(best[n], seconds / builds)
+    assert best[32_000] / best[8_000] <= 5.3, best
+
+
 class TestRelevanceFilter:
     def test_lone_pair_survives(self):
         edges = build_gap_edges([DIAG_A, DIAG_B])
@@ -189,11 +305,7 @@ class TestRelevanceFilter:
         # General position: odd half-unit coordinates spread widely, so
         # pathway ends fall between grid lines and beyond the sentinels.
         for _ in range(120):
-            obs = []
-            for k in range(rng.randint(1, 22)):
-                x, y = (2 * rng.randint(-500, 500) + 1 for _ in range(2))
-                w, h = (2 * rng.randint(1, 150) for _ in range(2))
-                obs.append(Obstacle(k, x, y, x + w, y + h))
+            obs = _general_position(rng, rng.randint(1, 22))
             built = {(e.i, e.j) for e in build_gap_edges(obs)}
             assert built == oracle_relevant_edges(obs)
 
