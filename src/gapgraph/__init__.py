@@ -15,11 +15,9 @@ from .geometry import (
     Rect,
     SYMMETRIES,
     Symmetry,
-    capacity,
     gaps,
     ingest_world,
     placement_free,
-    thin_edge_rect,
 )
 from .oracle import oracle_feasible, oracle_relevant_edges
 from .partition import RegionPartition, build_partition
@@ -28,7 +26,7 @@ from .sweep import (
     GapEdge,
     build_candidates,
     build_gap_edges,
-    minimum_pathway,
+    gap_edges,
     relevance_filter,
     shadow_sweep_pass,
 )
@@ -50,13 +48,12 @@ __all__ = [
     "build_gap_edges",
     "build_index",
     "build_partition",
-    "capacity",
     "decompose",
     "fold_radius",
     "gabriel_edges",
+    "gap_edges",
     "gaps",
     "ingest_world",
-    "minimum_pathway",
     "oracle_feasible",
     "oracle_relevant_edges",
     "placement_free",
@@ -65,7 +62,6 @@ __all__ = [
     "preprocess",
     "relevance_filter",
     "shadow_sweep_pass",
-    "thin_edge_rect",
 ]
 
 __version__ = "0.1.0"

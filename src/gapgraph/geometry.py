@@ -132,27 +132,6 @@ def gaps(a: Obstacle, b: Obstacle) -> GapVector:
     )
 
 
-def capacity(a: Obstacle, b: Obstacle) -> int:
-    """Largest square side that can pass between the pair; 0 = no passage."""
-    g = gaps(a, b)
-    return max(g.gx, g.gy, 0)
-
-
-def thin_edge_rect(a: Obstacle, b: Obstacle) -> Rect:
-    """Normalized contact/gap rectangle between two obstacles.
-
-    Per axis: the projection overlap when the intervals meet, otherwise the
-    gap interval between them.  Degenerate (zero extent) when they touch.
-    """
-    xl, xh = max(a.x1, b.x1), min(a.x2, b.x2)
-    yl, yh = max(a.y1, b.y1), min(a.y2, b.y2)
-    if xl > xh:
-        xl, xh = xh, xl
-    if yl > yh:
-        yl, yh = yh, yl
-    return Rect(xl, yl, xh, yh)
-
-
 def placement_free(p: tuple[int, int], d: int, obstacles: Iterable[Obstacle]) -> bool:
     """True iff the open square of side d centered at p misses every obstacle.
 

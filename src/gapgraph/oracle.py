@@ -9,8 +9,9 @@ discretization error.  This path shares nothing with the gap-edge pipeline.
 
 The relevant-edge enumerator is the O(n^3) definition: a pair's constraint
 counts iff no third obstacle meets the open interior of its minimum
-pathway.  It deliberately shares minimum_pathway with the sweep so the two
-edge enumerations differ only in search strategy.
+pathway.  minimum_pathway is the reference's own scalar definition of that
+corridor, on Python ints; the pipeline derives its pathways as int64
+columns (sweep.pathways), so the two edge enumerations share no code.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .engine import Verdict
-from .geometry import Obstacle
-from .sweep import minimum_pathway
+from .geometry import Obstacle, Rect, gaps
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
@@ -36,6 +36,31 @@ def _cell(coords: list[int], v: int) -> int:
     if i == 0:
         return 0
     return 2 * i - 1
+
+
+def minimum_pathway(a: Obstacle, b: Obstacle) -> Rect | None:
+    """Swept area of a maximum-size robot fully traversing the gap.
+
+    None when the pair has no passage.  A tie between the axis gaps treats
+    the y gap as the bottleneck (horizontal passage).
+    """
+    gx, gy = gaps(a, b)
+    s = max(gx, gy)
+    if s <= 0:
+        return None
+    if gy >= gx:  # y gap is the bottleneck; robot crosses horizontally
+        return Rect(
+            max(a.x1, b.x1) - s,
+            min(a.y2, b.y2),
+            min(a.x2, b.x2) + s,
+            max(a.y1, b.y1),
+        )
+    return Rect(
+        min(a.x2, b.x2),
+        max(a.y1, b.y1) - s,
+        max(a.x1, b.x1),
+        min(a.y2, b.y2) + s,
+    )
 
 
 def oracle_feasible(

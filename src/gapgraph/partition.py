@@ -142,6 +142,15 @@ def wall_cells(grid: DoubledGrid, obstacles: list[Obstacle]) -> np.ndarray:
     return walls
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array: np.unique by sorting, which
+    for int64 runs several times faster than np.unique's hash table."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def build_partition(
     obstacles: list[Obstacle], edges: list[GapEdge]
 ) -> RegionPartition:
@@ -204,8 +213,8 @@ def seal_links(
             touch = (a != b) & (a != WALL_CELL) & (b != WALL_CELL)
             u, v = a[touch], b[touch]
             key = np.minimum(u, v).astype(np.int64) * nodes + np.maximum(u, v)
-            keys.append(np.unique(key))
-    a, b = np.divmod(np.unique(np.concatenate(keys)), nodes)
+            keys.append(sorted_unique(key))
+    a, b = np.divmod(sorted_unique(np.concatenate(keys)), nodes)
 
     caps = node_capacities(rc, edges)
     rects = np.array([e.edge_rect for e in edges], dtype=np.int64).reshape(-1, 4)

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import colorsys
 
+import numpy as np
+
 from .engine import FeasibilityIndex
+from .sweep import columns, pathways
 
 _MARGIN = 4
 
@@ -89,10 +92,12 @@ def render_svg(
                 'fill="url(#hatch)" stroke="#8a5a00" stroke-width="0.3"/>'
             )
     if show_pathways:
-        for e in index.edges:
-            p = e.pathway
+        pairs = [(e.i, e.j) for e in index.edges]
+        i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        rects = columns(index.obstacles)[1]
+        for p in pathways(rects[:, i], rects[:, j])[2].T.tolist():
             out.append(
-                f'<rect {rect_attrs(p.x1, p.y1, p.x2, p.y2)} fill="none" '
+                f'<rect {rect_attrs(*p)} fill="none" '
                 'stroke="#b91c1c" stroke-width="0.4" stroke-dasharray="2,2"/>'
             )
     out.append("</svg>")

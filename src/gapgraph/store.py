@@ -4,10 +4,12 @@ Format v4 holds only what cannot be rebuilt cheaply: the candidate count,
 the obstacles (`x1 y1 x2 y2`, the id is the line's position), the gap edges
 as obstacle pairs (`i j`), the run-length encoded cell labels (each cell's
 union-graph node id, or -1 for walls), the region count and the union-graph
-links.  Loading rebuilds each edge from its pair and the grid from the
-obstacles, the same functions the build uses; it rejects a misnamed
-section, a negative count, a pair that is out of order or out of range or
-has no passage, a label that names no node, and any line after the links.
+links.  Loading rebuilds the edges from their pairs (sweep.gap_edges) and
+the grid from the obstacles, the same functions the build uses; it rejects
+a misnamed section, a negative count, a coordinate beyond 2 * COORD_LIMIT
+half-units (before numpy's int64 arithmetic could wrap), a pair that is out
+of order or out of range or has no passage, a label that names no node,
+and any line after the links.
 It replays the links into a fresh persistent DSU, so a reloaded index
 answers every query exactly like the original.  The text is
 deterministic for a given index.  Files of earlier versions are rejected.
@@ -18,25 +20,20 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import FeasibilityIndex
-from .geometry import Obstacle
+from .geometry import COORD_LIMIT, Obstacle
 from .partition import WALL_CELL, RegionPartition, build_grid
-from .sweep import make_gap_edge
+from .sweep import columns, gap_edges
 
 FORMAT_TAG = "gapgraph-index"
 FORMAT_VERSION = 4
 
 
 def _rle(array: np.ndarray) -> list[int]:
+    """(count, value) runs of a non-empty array in row-major order, flat."""
     flat = np.asarray(array).ravel()
-    if flat.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [flat.size]))
-    out: list[int] = []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        out.extend((e - s, int(flat[s])))
-    return out
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(flat)) + 1))
+    counts = np.diff(starts, append=flat.size)
+    return np.column_stack((counts, flat[starts])).ravel().tolist()
 
 
 def _unrle(values: list[int], shape: tuple[int, int], nodes: int) -> np.ndarray:
@@ -107,13 +104,19 @@ def _parse(rows) -> FeasibilityIndex:
     for k in range(n):
         x1, y1, x2, y2 = take()
         obstacles.append(Obstacle(k, x1, y1, x2, y2))
+    rects = columns(obstacles)[1]
+    limit = 2 * COORD_LIMIT
+    outside = np.flatnonzero(((rects < -limit) | (rects > limit)).any(axis=0))
+    if outside.size:
+        raise ValueError(f"obstacle {outside[0]}: coordinate outside [-2**61, 2**61]")
 
-    edges = []
+    pairs = []
     for _ in range(count("edges")):
         i, j = take()
         if not 0 <= i < j < n:
             raise ValueError(f"edge ({i}, {j}) outside 0 <= i < j < {n}")
-        edges.append(make_gap_edge(obstacles[i], obstacles[j]))
+        pairs.append((i, j))
+    edges = gap_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2), rects)
 
     grid = build_grid(obstacles)
     runs = [int(v) for v in section("labels")]

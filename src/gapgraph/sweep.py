@@ -42,6 +42,11 @@ off anyway, so they are dropped.  Boundary contact does not kill an edge
 overlapping corridor seals whose abstract center segments cross; the
 partition is indifferent to that.
 
+A pair's capacity, gap rectangle and minimum pathway have one formula,
+pathways, over int64 columns of many pairs: the ghost check, the clearance
+test and gap_edges (the only producer of GapEdges) use it.  The oracle
+keeps its own scalar pathway.
+
 Coordinates are half-units of at most 2**61 in magnitude (geometry.
 COORD_LIMIT doubled), so x1 + y2 and every pathway end stay below 2**63.
 """
@@ -52,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SYMMETRIES, Obstacle, Rect, Symmetry, capacity, gaps, thin_edge_rect
-from .partition import build_grid, wall_cells
+from .geometry import SYMMETRIES, Obstacle, Rect, Symmetry
+from .partition import build_grid, sorted_unique, wall_cells
 
 #: Candidates whose pathways relevance_filter computes at once.
 _FILTER_BLOCK = 4096
@@ -62,79 +67,52 @@ _FILTER_BLOCK = 4096
 @dataclass(frozen=True, slots=True)
 class GapEdge:
     """A passable gap between obstacles i < j; every field but the ids
-    follows from the two obstacles (see make_gap_edge).
+    follows from the two obstacles (see gap_edges).
 
     capacity: largest passable square side, always > 0.
     edge_rect: normalized gap rectangle, sealed in the partition.
-    pathway: region that must be clear for the edge to be relevant.
     """
 
     i: int
     j: int
     capacity: int
     edge_rect: Rect
-    pathway: Rect
 
 
-def minimum_pathway(a: Obstacle, b: Obstacle) -> Rect | None:
-    """Swept area of a maximum-size robot fully traversing the gap.
+def pathways(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gap geometry of int64 rect rows a, b of shape (4, m) (x1, y1, x2,
+    y2): the larger axis gap s (a passage of that capacity when > 0), then
+    the gap rectangles and the minimum pathways as (4, m) rect rows,
+    meaningful only where s > 0.
 
-    None when the pair has no passage.  A tie between the axis gaps treats
-    the y gap as the bottleneck (horizontal passage).
-    """
-    gx, gy = gaps(a, b)
-    s = max(gx, gy)
-    if s <= 0:
-        return None
-    if gy >= gx:  # y gap is the bottleneck; robot crosses horizontally
-        return Rect(
-            max(a.x1, b.x1) - s,
-            min(a.y2, b.y2),
-            min(a.x2, b.x2) + s,
-            max(a.y1, b.y1),
-        )
-    return Rect(
-        min(a.x2, b.x2),
-        max(a.y1, b.y1) - s,
-        max(a.x1, b.x1),
-        min(a.y2, b.y2) + s,
-    )
-
-
-def _pathways(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """minimum_pathway over int64 rect rows a, b of shape (4, m) (x1, y1,
-    x2, y2): the larger axis gap s (a passage when > 0) and the pathway's
-    x1, y1, x2, y2, meaningful only where s > 0."""
-    lx, ly = np.maximum(a[:2], b[:2])
-    hx, hy = np.minimum(a[2:], b[2:])
-    gx, gy = lx - hx, ly - hy
+    Per axis a gap rectangle spans the projections' overlap when they meet,
+    else the gap between them.  A minimum pathway is the area a robot of
+    side s sweeps while fully traversing the gap; a tie between the axis
+    gaps treats the y gap as the bottleneck (horizontal passage)."""
+    lo = np.maximum(a[:2], b[:2])
+    hi = np.minimum(a[2:], b[2:])
+    (lx, ly), (hx, hy) = lo, hi
+    gx, gy = lo - hi
     s = np.maximum(gx, gy)
     h = gy >= gx  # the y gap is the bottleneck; the robot crosses horizontally
-    return s, [
-        np.where(h, lx - s, hx),
-        np.where(h, hy, ly - s),
-        np.where(h, hx + s, lx),
-        np.where(h, ly, hy + s),
+    pathway = np.where(h, [lx - s, hy, hx + s, ly], [hx, ly - s, lx, hy + s])
+    return s, np.concatenate([np.minimum(lo, hi), np.maximum(lo, hi)]), pathway
+
+
+def gap_edges(pairs: np.ndarray, rects: np.ndarray) -> list[GapEdge]:
+    """The gap edges of the int64 (i, j) rows `pairs`, i < j, over the
+    obstacles' (4, n) rect rows (columns); ValueError naming the first pair
+    that has no passage."""
+    i, j = pairs.T
+    s, rect, _ = pathways(rects[:, i], rects[:, j])
+    shut = np.flatnonzero(s <= 0)
+    if shut.size:
+        a, b = pairs[shut[0]].tolist()
+        raise ValueError(f"obstacles {a} and {b}: no passage")
+    return [
+        GapEdge(a, b, c, Rect(*r))
+        for a, b, c, r in zip(i.tolist(), j.tolist(), s.tolist(), rect.T.tolist())
     ]
-
-
-def make_gap_edge(a: Obstacle, b: Obstacle) -> GapEdge:
-    """The gap edge of a pair; ValueError when the pair has no passage."""
-    if a.id > b.id:
-        a, b = b, a
-    pathway = minimum_pathway(a, b)
-    if pathway is None:
-        raise ValueError(f"obstacles {a.id} and {b.id}: no passage")
-    return GapEdge(a.id, b.id, capacity(a, b), thin_edge_rect(a, b), pathway)
-
-
-def _unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array: np.unique by sorting, which
-    for int64 runs several times faster than np.unique's hash table."""
-    a = np.sort(a)
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 class _FitTree:
@@ -240,10 +218,10 @@ def _sweep_pass(
     order = np.lexsort((ids, rects[1], rects[0]))
     ids, rects = ids[order], rects[:, order]
     x1, y1, x2, y2 = rects
-    ys = _unique(y1)
+    ys = sorted_unique(y1)
     yrank = np.searchsorted(ys, y1)
     reach = x1 + y2
-    reaches = _unique(reach)
+    reaches = sorted_unique(reach)
     tree = _FitTree(yrank, np.searchsorted(reaches, reach), len(ys))
     n = len(ids)
     # Per obstacle: the first anchor with x1 >= its x2, and the (x1 + y2)
@@ -265,7 +243,7 @@ def _sweep_pass(
     second = fits_after(first + 1, o)
     g = second < n
     o2, first2, second = o[g], first[g], second[g]
-    s, (px1, py1, px2, py2) = _pathways(rects[:, second], rects[:, o2])
+    s, _, (px1, py1, px2, py2) = pathways(rects[:, second], rects[:, o2])
     bx1, by1, bx2, by2 = rects[:, first2]
     blocked = (bx1 < px2) & (bx2 > px1) & (by1 < py2) & (by2 > py1)
     ghost = (s > 0) & ~blocked
@@ -293,7 +271,7 @@ def _sweep_pass(
     )
 
 
-def _columns(obstacles: list[Obstacle]) -> tuple[np.ndarray, np.ndarray]:
+def columns(obstacles: list[Obstacle]) -> tuple[np.ndarray, np.ndarray]:
     """The obstacles' int64 ids and their (4, n) rect rows x1, y1, x2, y2."""
     cols = np.array(
         [(o.id, o.x1, o.y1, o.x2, o.y2) for o in obstacles], dtype=np.int64
@@ -315,7 +293,7 @@ def shadow_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
     in emission order: at most one per obstacle, so at most n."""
     if not obstacles:
         return []
-    anchor, other, _, _ = _sweep_pass(*_columns(obstacles))
+    anchor, other, _, _ = _sweep_pass(*columns(obstacles))
     return list(zip(anchor.tolist(), other.tolist()))
 
 
@@ -324,14 +302,14 @@ def build_candidates(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
     passes: <= 8n primary pairs plus ghost and tie recoveries."""
     if not obstacles:
         return []
-    ids, rects = _columns(obstacles)
+    ids, rects = columns(obstacles)
     m = int(ids.max()) + 1
     keys = []
     for sym in SYMMETRIES:
         pass_pairs = _sweep_pass(ids, _transform(sym, rects))
         for a, b in (pass_pairs[:2], pass_pairs[2:]):
             keys.append(np.minimum(a, b) * m + np.maximum(a, b))
-    i, j = np.divmod(_unique(np.concatenate(keys)), m)
+    i, j = np.divmod(sorted_unique(np.concatenate(keys)), m)
     return list(zip(i.tolist(), j.tolist()))
 
 
@@ -343,7 +321,7 @@ def relevance_filter(
 
     Gaps and pathways are computed as int64 columns, _FILTER_BLOCK
     candidates at a time; only the passable ones are tested and only the
-    kept ones become GapEdges.  Clearance is read off the doubled grid's
+    kept ones go to gap_edges.  Clearance is read off the doubled grid's
     wall cells, the test the index's placement check uses: every obstacle
     side is a grid line and a pair's own obstacles lie outside its
     pathway's open interior, so a pathway is clear exactly when no cell it
@@ -355,21 +333,21 @@ def relevance_filter(
     grid = build_grid(obstacles)
     walls = wall_cells(grid, obstacles)
     pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
-    rects = _columns(obstacles)[1]
+    rects = columns(obstacles)[1]
     kept: list[int] = []
     # A block at a time: the columns and rows of every candidate at once
     # were the largest allocation of a lattice world's build.
     for start in range(0, len(pairs), _FILTER_BLOCK):
         block = pairs[start : start + _FILTER_BLOCK]
-        s, pathway = _pathways(rects[:, block[:, 0]], rects[:, block[:, 1]])
+        s, _, pathway = pathways(rects[:, block[:, 0]], rects[:, block[:, 1]])
         passable = np.flatnonzero(s > 0)
-        rows = np.stack(pathway, axis=1)[passable].tolist()
+        rows = pathway[:, passable].T.tolist()
         kept += [
             start + k
             for k, r in zip(passable.tolist(), rows)
             if not walls[grid.box(r)].any()
         ]
-    return [make_gap_edge(obstacles[i], obstacles[j]) for i, j in pairs[kept].tolist()]
+    return gap_edges(pairs[kept], rects)
 
 
 def build_gap_edges(obstacles: list[Obstacle]) -> list[GapEdge]:

@@ -1,12 +1,16 @@
-"""Shared test helpers: random worlds, random rectilinear polygons, a seal's
-region links, the region adjacency graph that the planarity criterion
-bounds, and a per-cell reference for the straddling remap."""
+"""Shared test helpers: random worlds, random rectilinear polygons, the gap
+edges of chosen pairs, a seal's region links, the region adjacency graph
+that the planarity criterion bounds, and a per-cell reference for the
+straddling remap."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from gapgraph.geometry import Obstacle, RawShape, gaps, ingest_world
+from gapgraph.sweep import GapEdge, columns, gap_edges
 
 
 def random_world(rng: random.Random, n: int, span: int = 18) -> list[RawShape]:
@@ -20,6 +24,12 @@ def random_world(rng: random.Random, n: int, span: int = 18) -> list[RawShape]:
 
 def random_obstacles(rng: random.Random, n: int, span: int = 18) -> list[Obstacle]:
     return ingest_world(random_world(rng, n, span))
+
+
+def edges_of(obstacles: list[Obstacle], pairs) -> list[GapEdge]:
+    """sweep.gap_edges over (i, j) pairs of positions in `obstacles`."""
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return gap_edges(rows, columns(obstacles)[1])
 
 
 def _trace_boundary(cells: set[tuple[int, int]]) -> list[tuple[int, int]] | None:

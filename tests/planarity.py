@@ -9,6 +9,7 @@ crossings.
 from __future__ import annotations
 
 from gapgraph.geometry import Obstacle, Rect, gaps
+from gapgraph.oracle import minimum_pathway
 from gapgraph.sweep import GapEdge
 
 
@@ -70,7 +71,7 @@ def strictly_clear(edge: GapEdge, obstacles: list[Obstacle]) -> bool:
     its edge points); the planarity statement below is asserted for the
     strictly clear ones.
     """
-    p = edge.pathway
+    p = minimum_pathway(obstacles[edge.i], obstacles[edge.j])
     for o in obstacles:
         if o.id in (edge.i, edge.j):
             continue

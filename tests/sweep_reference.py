@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from gapgraph.geometry import SYMMETRIES, Obstacle, Rect
-from gapgraph.sweep import minimum_pathway
+from gapgraph.oracle import minimum_pathway
 
 
 def shadow_contains(anchor: Obstacle, other: Obstacle) -> bool:

@@ -300,6 +300,9 @@ class TestCli:
             EMPTY_INDEX.format(labels=f"{2**40} 0"),
             GAP_INDEX.format(edge="0 2"),  # obstacle 2 does not exist
             TOUCHING_INDEX,
+            # beyond the ingest bound of 2**61 half-units, where int64 wraps
+            GAP_INDEX.format(edge="0 1").replace("4 0 6 2", f"4 0 {2**62} 2"),
+            GAP_INDEX.format(edge="0 1").replace("0 0 2 2", f"{-2**62} 0 2 2"),
             EMPTY_INDEX.format(labels="25 0").replace("obstacles 0", "obstacles -1"),
             EMPTY_INDEX.format(labels="25 0")
             .replace("candidates", "whatever")
@@ -319,6 +322,8 @@ class TestCli:
             "label-run-overflow",
             "edge-out-of-range",
             "edge-no-passage",
+            "coordinate-beyond-bound",
+            "negative-coordinate-beyond-bound",
             "negative-count",
             "misnamed-sections",
             "trailing-line",

@@ -7,13 +7,12 @@ from gapgraph.geometry import (
     GapVector,
     Obstacle,
     Rect,
-    capacity,
     gaps,
     ingest_world,
     placement_free,
-    thin_edge_rect,
 )
 
+from conftest import edges_of
 from planarity import segments_properly_cross
 
 
@@ -89,14 +88,15 @@ def fixed_obstacle(rng, i, span=20):
 
 class TestCapacity:
     def test_diagonal_pair(self):
-        assert capacity(A_DIAG, B_DIAG) == 3
+        assert edges_of([A_DIAG, B_DIAG], [(0, 1)])[0].capacity == 3
 
-    def test_full_overlap_clamps_to_zero(self):
+    def test_full_overlap_has_no_passage(self):
         a = rect_obstacle(0, 0, 0, 2, 2)
-        assert capacity(a, rect_obstacle(1, 0, 0, 2, 2)) == 0
+        with pytest.raises(ValueError, match="obstacles 0 and 1: no passage"):
+            edges_of([a, rect_obstacle(1, 0, 0, 2, 2)], [(0, 1)])
 
     def test_overlap_pair(self):
-        assert capacity(A_OVER, B_OVER) == 4
+        assert edges_of([A_OVER, B_OVER], [(0, 1)])[0].capacity == 4
 
     def test_zero_iff_projections_meet_on_both_axes(self):
         rng = random.Random(2)
@@ -104,20 +104,19 @@ class TestCapacity:
             a = fixed_obstacle(rng, 0, 8)
             b = fixed_obstacle(rng, 1, 8)
             g = gaps(a, b)
-            assert (capacity(a, b) == 0) == (g.gx <= 0 and g.gy <= 0)
+            if g.gx <= 0 and g.gy <= 0:
+                with pytest.raises(ValueError, match="no passage"):
+                    edges_of([a, b], [(0, 1)])
+            else:
+                assert edges_of([a, b], [(0, 1)])[0].capacity == max(g)
 
 
 class TestThinEdgeRect:
     def test_overlap_pair(self):
-        assert thin_edge_rect(A_OVER, B_OVER) == Rect(14, 6, 18, 10)
+        assert edges_of([A_OVER, B_OVER], [(0, 1)])[0].edge_rect == Rect(14, 6, 18, 10)
 
     def test_diagonal_pair_normalized(self):
-        assert thin_edge_rect(A_DIAG, B_DIAG) == Rect(2, 2, 3, 5)
-
-    def test_touching_pair_degenerate(self):
-        a = rect_obstacle(0, 0, 0, 1, 1)
-        b = rect_obstacle(1, 1, 0, 2, 1)
-        assert thin_edge_rect(a, b) == Rect(1, 0, 1, 1)
+        assert edges_of([A_DIAG, B_DIAG], [(0, 1)])[0].edge_rect == Rect(2, 2, 3, 5)
 
 
 class TestPlacementFree:

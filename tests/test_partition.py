@@ -4,9 +4,9 @@ from collections import deque
 
 from gapgraph.geometry import Rect, ingest_world
 from gapgraph.partition import WALL_CELL, build_partition, seal_links
-from gapgraph.sweep import build_gap_edges, make_gap_edge
+from gapgraph.sweep import build_gap_edges
 
-from conftest import linked_regions, random_obstacles
+from conftest import edges_of, linked_regions, random_obstacles
 
 # Four obstacles around two pockets, with all five drawn gap rectangles
 # sealed (including two a relevance pass would drop): the left pocket and the
@@ -20,7 +20,7 @@ FOUR_BOXES = ingest_world(
     ]
 )
 FIVE_PAIRS = [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3)]
-FIVE_EDGES = [make_gap_edge(FOUR_BOXES[i], FOUR_BOXES[j]) for i, j in FIVE_PAIRS]
+FIVE_EDGES = edges_of(FOUR_BOXES, FIVE_PAIRS)
 LEFT_POCKET = (-4, 9)    # internal half-units
 RIGHT_POCKET = (12, 10)
 
@@ -50,7 +50,7 @@ def test_pockets_are_distinct_regions():
 
 def test_sealed_diagonal_pair_leaves_one_region():
     obs = ingest_world([("rect", (0, 1, 2, 2)), ("rect", (3, 5, 5, 7))])
-    edges = [make_gap_edge(obs[0], obs[1])]
+    edges = edges_of(obs, [(0, 1)])
     part = build_partition(obs, edges)
     assert part.region_count == 1
 
@@ -175,7 +175,7 @@ def test_regions_are_single_connected_components():
 class TestSealLinks:
     def test_diagonal_pair_links_its_one_region(self):
         obs = ingest_world([("rect", (0, 1, 2, 2)), ("rect", (3, 5, 5, 7))])
-        edges = [make_gap_edge(obs[0], obs[1])]
+        edges = edges_of(obs, [(0, 1)])
         part = build_partition(obs, edges)
         assert seal_links(part, edges) == [(0, 1, edges[0].capacity)]
 

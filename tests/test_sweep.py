@@ -2,6 +2,7 @@ import math
 import random
 import timeit
 
+import numpy as np
 import pytest
 
 from gapgraph.engine import Query, build_index
@@ -10,22 +11,23 @@ from gapgraph.geometry import (
     SYMMETRIES,
     Obstacle,
     Rect,
-    capacity,
+    gaps,
     ingest_world,
 )
-from gapgraph.oracle import oracle_feasible, oracle_relevant_edges
+from gapgraph.oracle import minimum_pathway, oracle_feasible, oracle_relevant_edges
 from gapgraph.partition import WALL_CELL, build_partition
 from gapgraph.sweep import (
+    GapEdge,
     build_candidates,
     build_gap_edges,
-    make_gap_edge,
-    minimum_pathway,
+    columns,
+    pathways,
     relevance_filter,
     shadow_sweep_pass,
 )
 from gapgraph.worldgen import world_shapes
 
-from conftest import random_obstacles
+from conftest import edges_of, random_obstacles
 from planarity import is_diagonal, non_crossing_violations
 from sweep_reference import reference_candidates, reference_sweep_pass, shadow_contains
 
@@ -53,23 +55,24 @@ class TestMinimumPathway:
         b = Obstacle(1, 2, 2, 6, 6)
         assert minimum_pathway(a, b) is None
         with pytest.raises(ValueError, match="no passage"):
-            make_gap_edge(a, b)
+            edges_of([a, b], [(0, 1)])
 
     def test_pathway_contains_edge_rect(self):
         rng = random.Random(20)
         for _ in range(400):
             a, b = random_obstacles(rng, 2)
-            if capacity(a, b) == 0:
+            if max(gaps(a, b)) <= 0:
                 continue
-            e = make_gap_edge(a, b)
-            p, r = e.pathway, e.edge_rect
+            (e,) = edges_of([a, b], [(0, 1)])
+            p, r = minimum_pathway(a, b), e.edge_rect
             assert p.x1 <= r.x1 and p.y1 <= r.y1 and p.x2 >= r.x2 and p.y2 >= r.y2
 
 
-def _passage_axis(e) -> str | None:
-    """The axis the minimum pathway runs along: it extends past the gap
-    rectangle in that direction and matches it across."""
-    p, r = e.pathway, e.edge_rect
+def _passage_axis(a: Obstacle, b: Obstacle) -> str | None:
+    """The axis the pair's minimum pathway runs along: it extends past the
+    gap rectangle in that direction and matches it across."""
+    (e,) = edges_of([a, b], [(0, 1)])
+    p, r = minimum_pathway(a, b), e.edge_rect
     if (p.y1, p.y2) == (r.y1, r.y2) and p.x1 < r.x1 and r.x2 < p.x2:
         return "horizontal"
     if (p.x1, p.x2) == (r.x1, r.x2) and p.y1 < r.y1 and r.y2 < p.y2:
@@ -79,19 +82,18 @@ def _passage_axis(e) -> str | None:
 
 class TestGapEdge:
     def test_diagonal_kind_and_axis(self):
-        e = make_gap_edge(DIAG_A, DIAG_B)
+        (e,) = edges_of([DIAG_A, DIAG_B], [(0, 1)])
         assert is_diagonal(DIAG_A, DIAG_B)
-        assert (_passage_axis(e), e.capacity) == ("horizontal", 6)
+        assert (_passage_axis(DIAG_A, DIAG_B), e.capacity) == ("horizontal", 6)
 
     def test_overlap_kind(self):
-        e = make_gap_edge(OVER_A, OVER_B)
+        (e,) = edges_of([OVER_A, OVER_B], [(0, 1)])
         assert not is_diagonal(OVER_A, OVER_B)
-        assert (_passage_axis(e), e.capacity) == ("horizontal", 4)
+        assert (_passage_axis(OVER_A, OVER_B), e.capacity) == ("horizontal", 4)
 
     def test_vertical_passage(self):
-        e = make_gap_edge(COLLINEAR[0], COLLINEAR[1])
         assert not is_diagonal(COLLINEAR[0], COLLINEAR[1])
-        assert _passage_axis(e) == "vertical"
+        assert _passage_axis(COLLINEAR[0], COLLINEAR[1]) == "vertical"
 
 
 class TestShadowContains:
@@ -187,6 +189,54 @@ def _general_position(rng: random.Random, n: int) -> list[Obstacle]:
         w, h = (2 * rng.randint(1, 150) for _ in range(2))
         obs.append(Obstacle(k, x, y, x + w, y + h))
     return obs
+
+
+def _extreme_corners(rng: random.Random, n: int) -> list[Obstacle]:
+    """Boxes whose corners reach +-COORD_LIMIT external units."""
+    e = COORD_LIMIT
+    shapes = []
+    for _ in range(n):
+        pool = sorted({-e, -e + 1, -1, 0, 1, e - 1, e, rng.randint(-e, e)})
+        (x1, x2), (y1, y2) = (sorted(rng.sample(pool, 2)) for _ in range(2))
+        shapes.append(("rect", (x1, y1, x2, y2)))
+    return ingest_world(shapes)
+
+
+def test_gap_edges_match_python_reference():
+    """gap_edges and pathways, on int64 columns, equal the oracle's scalar
+    minimum_pathway and gaps on Python ints, pair for pair: random lattice
+    pairs, odd general-position coordinates, and corners at +-COORD_LIMIT
+    external units, where an int64 overflow would show.  A batch holding a
+    pair with no passage raises and names the first such pair."""
+    rng = random.Random(29)
+    worlds = [random_obstacles(rng, 12, span=10) for _ in range(20)]
+    worlds += [_general_position(rng, 12) for _ in range(20)]
+    worlds += [_extreme_corners(rng, 12) for _ in range(20)]
+    shut_seen = 0
+    for obs in worlds:
+        pairs = [(i, j) for i in range(len(obs)) for j in range(i + 1, len(obs))]
+        shut = [(i, j) for i, j in pairs if minimum_pathway(obs[i], obs[j]) is None]
+        if shut:
+            shut_seen += 1
+            with pytest.raises(ValueError, match="obstacles %d and %d: no passage" % shut[0]):
+                edges_of(obs, pairs)
+        passable = [pair for pair in pairs if pair not in shut]
+        expected, expected_paths = [], []
+        for i, j in passable:
+            gx, gy = gaps(obs[i], obs[j])
+            s, p = max(gx, gy), minimum_pathway(obs[i], obs[j])
+            # The pathway runs s past the gap along the passage axis.
+            if gy >= gx:
+                (x1, x2), (y1, y2) = sorted((p.x1 + s, p.x2 - s)), (p.y1, p.y2)
+            else:
+                (x1, x2), (y1, y2) = (p.x1, p.x2), sorted((p.y1 + s, p.y2 - s))
+            expected.append(GapEdge(i, j, s, Rect(x1, y1, x2, y2)))
+            expected_paths.append(list(p))
+        assert edges_of(obs, passable) == expected
+        i, j = np.array(passable, dtype=np.int64).reshape(-1, 2).T
+        rects = columns(obs)[1]
+        assert pathways(rects[:, i], rects[:, j])[2].T.tolist() == expected_paths
+    assert shut_seen >= 10
 
 
 def _reference_worlds():
@@ -315,17 +365,19 @@ class TestRelevanceFilter:
         for _ in range(150):
             obs = random_obstacles(rng, rng.randint(3, 14), span=8)
             kept = {(e.i, e.j) for e in build_gap_edges(obs)}
-            for (i, j) in build_candidates(obs):
-                if (i, j) in kept or capacity(obs[i], obs[j]) == 0:
-                    continue
-                e = make_gap_edge(obs[i], obs[j])
-                p = e.pathway
+            removed = [
+                (i, j)
+                for i, j in build_candidates(obs)
+                if (i, j) not in kept and max(gaps(obs[i], obs[j])) > 0
+            ]
+            for e in edges_of(obs, removed):
+                p = minimum_pathway(obs[e.i], obs[e.j])
                 for k, o in enumerate(obs):
-                    if k in (i, j):
+                    if k in (e.i, e.j):
                         continue
                     if p.x1 <= o.x1 and o.x2 <= p.x2 and p.y1 <= o.y1 and o.y2 <= p.y2:
-                        assert capacity(obs[i], o) <= e.capacity
-                        assert capacity(obs[j], o) <= e.capacity
+                        assert max(*gaps(obs[e.i], o), 0) <= e.capacity
+                        assert max(*gaps(obs[e.j], o), 0) <= e.capacity
                         checked += 1
         assert checked > 20
 
