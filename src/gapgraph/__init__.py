@@ -23,9 +23,8 @@ from .oracle import oracle_feasible, oracle_relevant_edges
 from .partition import RegionPartition, build_partition
 from .polygons import decompose, point_in_polygon, polygon_area
 from .sweep import (
-    GapEdge,
+    GapEdges,
     build_candidates,
-    build_gap_edges,
     gap_edges,
     relevance_filter,
     shadow_sweep_pass,
@@ -34,7 +33,7 @@ from .sweep import (
 __all__ = [
     "FeasibilityIndex",
     "GabrielEdge",
-    "GapEdge",
+    "GapEdges",
     "GapVector",
     "Obstacle",
     "PersistentDsu",
@@ -45,7 +44,6 @@ __all__ = [
     "Symmetry",
     "Verdict",
     "build_candidates",
-    "build_gap_edges",
     "build_index",
     "build_partition",
     "decompose",

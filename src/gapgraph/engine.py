@@ -5,7 +5,8 @@ of obstacles that meet leave nothing to seal: walls cover their contact),
 seals the gap rectangles into a region partition, and replays the
 capacity-weighted links of the region/seal adjacency graph into a
 persistent DSU in descending capacity order, so the component structure at
-timestamp k reflects exactly the k widest links.
+timestamp k reflects exactly the k widest links.  The stages hand on int64
+columns (candidate pairs, GapEdges, (m, 3) links) and share one grid.
 A query checks each placement against the partition's wall cells (every
 obstacle side is a grid line, so the open body meets an obstacle exactly
 when a cell under it is a wall), locates both endpoints, which reads their
@@ -30,11 +31,12 @@ from .geometry import Obstacle, ingest_world
 from .partition import (
     WALL_CELL,
     RegionPartition,
+    build_grid,
     build_partition,
     node_capacities,
     seal_links,
 )
-from .sweep import GapEdge, build_candidates, relevance_filter
+from .sweep import GapEdges, build_candidates, columns, relevance_filter
 
 
 class Verdict(Enum):
@@ -65,10 +67,10 @@ class FeasibilityIndex:
     """Immutable after construction; safe for concurrent queries."""
 
     obstacles: list[Obstacle]
-    edges: list[GapEdge]
+    edges: GapEdges
     candidate_count: int
     partition: RegionPartition
-    links: list[tuple[int, int, int]]  # (node_a, node_b, capacity)
+    links: np.ndarray  # int64 (m, 3) rows: node a, node b, capacity
 
     dsu: PersistentDsu = field(init=False)
     _neg_caps: list[int] = field(init=False)
@@ -77,13 +79,11 @@ class FeasibilityIndex:
     def __post_init__(self) -> None:
         node_count = self.partition.region_count + len(self.edges)
         self.dsu = PersistentDsu(node_count)
-        order = sorted(range(len(self.links)), key=lambda k: -self.links[k][2])
-        neg = []
-        for k in order:
-            a, b, cap = self.links[k]
+        # Widest first; ties keep their stored order.
+        order = np.argsort(-self.links[:, 2], kind="stable")
+        for a, b in self.links[order, :2].tolist():
             self.dsu.union(a, b)
-            neg.append(-cap)
-        self._neg_caps = neg
+        self._neg_caps = (-self.links[order, 2]).tolist()
         self._node_caps = node_capacities(self.partition.region_count, self.edges)
 
     # -- placement validity --------------------------------------------------
@@ -148,10 +148,13 @@ class FeasibilityIndex:
 
 
 def preprocess(obstacles: list[Obstacle]) -> FeasibilityIndex:
-    """Build the full index: edges, partition, union timeline."""
+    """Build the full index: edges, partition, union timeline.  The grid
+    is made once and shared by the filter and the partition."""
+    rects = columns(obstacles)[1]
+    grid = build_grid(rects)
     candidates = build_candidates(obstacles)
-    edges = relevance_filter(candidates, obstacles)
-    part = build_partition(obstacles, edges)
+    edges = relevance_filter(candidates, rects, grid)
+    part = build_partition(rects, edges, grid)
     links = seal_links(part, edges)
     return FeasibilityIndex(
         obstacles=obstacles,

@@ -7,13 +7,13 @@ sentinel coordinate beyond each extreme keeps the outermost ring free;
 points outside the grid clamp onto that ring, which always belongs to the
 unbounded region.  The grid lines are exactly the obstacle coordinates
 (build_grid); a gap rectangle's sides are coordinates of its own pair, so
-they lie on the grid too, and the grid is rebuilt from the obstacles,
-never stored.  Since every obstacle side is a grid line, each cell lies
-wholly inside or wholly outside each closed obstacle (wall_cells): an open
-rectangle meets an obstacle exactly when one of the cells it meets
-(DoubledGrid.box) is a wall.  One such test answers both the placement
-check (the open square of side d at p, DoubledGrid.body) and pathway
-clearance in the relevance filter.
+they lie on the grid too, and the grid is rebuilt from the obstacles once
+per build or load, never stored.  Since every obstacle side is a grid line,
+each cell lies wholly inside or wholly outside each closed obstacle
+(wall_cells): an open rectangle meets an obstacle exactly when one of the
+cells it meets (DoubledGrid.box) is a wall.  One such test answers both the
+placement check (the open square of side d at p, DoubledGrid.body) and
+pathway clearance in the relevance filter.
 
 Cells covered by a closed obstacle are walls; cells covered by a gap edge's
 rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
@@ -34,10 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Obstacle, Rect
-
 if TYPE_CHECKING:  # sweep imports this module
-    from .sweep import GapEdge
+    from .sweep import GapEdges
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
@@ -63,19 +61,20 @@ class DoubledGrid:
             return 0  # beyond the bottom sentinel line
         return 2 * i - 1
 
-    @staticmethod
-    def line(coords: list[int], v: int) -> int:
-        """Cell of the grid line at coordinate v."""
-        i = bisect_left(coords, v)
-        assert i < len(coords) and coords[i] == v, "coordinate not on grid"
-        return 2 * i
-
-    def closed(self, r: Rect) -> tuple[slice, slice]:
-        """Cells inside the closed rectangle r, whose sides are grid lines."""
-        return (
-            slice(self.line(self.xs, r.x1), self.line(self.xs, r.x2) + 1),
-            slice(self.line(self.ys, r.y1), self.line(self.ys, r.y2) + 1),
-        )
+    def closed(self, rects: np.ndarray) -> np.ndarray:
+        """Cell blocks of the closed rectangles in the int64 (4, m) rect
+        rows, whose sides are grid lines: (4, m) rows start_x, start_y,
+        stop_x, stop_y, so rectangle k covers labels[start_x[k]:stop_x[k],
+        start_y[k]:stop_y[k]].  One searchsorted per axis."""
+        blocks = np.empty_like(rects)
+        for axis, coords in enumerate((self.xs, self.ys)):
+            coords = np.array(coords, dtype=np.int64)
+            sides = rects[axis::2]
+            at = np.searchsorted(coords, sides)
+            on_grid = coords[np.minimum(at, len(coords) - 1)] == sides
+            assert on_grid.all(), "coordinate not on grid"
+            blocks[axis::2] = 2 * at + [[0], [1]]  # stops are one past
+        return blocks
 
     @classmethod
     def span(cls, coords: list[int], lo: int, hi: int) -> range:
@@ -119,26 +118,24 @@ class RegionPartition:
         return int(self.labels[grid.cell(grid.xs, p[0]), grid.cell(grid.ys, p[1])])
 
 
-def build_grid(obstacles: list[Obstacle]) -> DoubledGrid:
-    """The grid over every obstacle coordinate, plus one sentinel beyond
-    each extreme."""
-    coords_x: set[int] = set()
-    coords_y: set[int] = set()
-    for o in obstacles:
-        coords_x.update((o.x1, o.x2))
-        coords_y.update((o.y1, o.y2))
-    if not coords_x:
-        coords_x, coords_y = {0}, {0}
-    xs = sorted({min(coords_x) - 2, *coords_x, max(coords_x) + 2})
-    ys = sorted({min(coords_y) - 2, *coords_y, max(coords_y) + 2})
-    return DoubledGrid(xs, ys)
+def build_grid(rects: np.ndarray) -> DoubledGrid:
+    """The grid over every coordinate of the int64 (4, n) rect rows, plus
+    one sentinel beyond each extreme."""
+    lines = []
+    for sides in (rects[0::2], rects[1::2]):
+        coords = sorted_unique(sides.ravel())
+        if not coords.size:
+            coords = np.zeros(1, dtype=np.int64)
+        lines.append([int(coords[0]) - 2, *coords.tolist(), int(coords[-1]) + 2])
+    return DoubledGrid(*lines)
 
 
-def wall_cells(grid: DoubledGrid, obstacles: list[Obstacle]) -> np.ndarray:
-    """bool mask of the cells inside a closed obstacle."""
+def wall_cells(grid: DoubledGrid, rects: np.ndarray) -> np.ndarray:
+    """bool mask of the cells inside a closed obstacle of the (4, n) rect
+    rows."""
     walls = np.zeros(grid.shape, dtype=bool)
-    for o in obstacles:
-        walls[grid.closed(o.rect)] = True
+    for x0, y0, x1, y1 in grid.closed(rects).T.tolist():
+        walls[x0:x1, y0:y1] = True
     return walls
 
 
@@ -152,43 +149,42 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 def build_partition(
-    obstacles: list[Obstacle], edges: list[GapEdge]
+    rects: np.ndarray, edges: GapEdges, grid: DoubledGrid
 ) -> RegionPartition:
-    """Label the doubled grid with node ids: regions, then sealed edge
-    rectangles, then walls.
+    """Label the doubled grid (build_grid of the obstacles' (4, n) rect
+    rows) with node ids: regions, then sealed edge rectangles, then walls.
 
     The unbounded face gets a region id like any other.  Where gap
     rectangles overlap, the higher edge index owns the cell; walls override
     seals.
     """
-    grid = build_grid(obstacles)
-    seal_cells = [grid.closed(e.edge_rect) for e in edges]
-    free = ~wall_cells(grid, obstacles)
-    for sl in seal_cells:
-        free[sl] = False
+    walls, seals = grid.closed(rects), grid.closed(edges.rect)
+    free = np.ones(grid.shape, dtype=bool)
+    for x0, y0, x1, y1 in np.hstack((walls, seals)).T.tolist():
+        free[x0:x1, y0:y1] = False
     labels, count = ndimage.label(free, structure=_CROSS, output=np.int32)
-    # Drop free and make the wall mask again below rather than keep it, so
-    # at most one bool grid lives beside labels.
+    # Drop free and fill the walls again below rather than keep a wall
+    # mask, so at most one bool grid lives beside labels.
     del free
     labels -= 1  # scipy numbers regions from 1 and leaves 0 elsewhere
-    for k, sl in enumerate(seal_cells):
-        labels[sl] = count + k
-    labels[wall_cells(grid, obstacles)] = WALL_CELL
+    for k, (x0, y0, x1, y1) in enumerate(seals.T.tolist(), start=count):
+        labels[x0:x1, y0:y1] = k
+    for x0, y0, x1, y1 in walls.T.tolist():
+        labels[x0:x1, y0:y1] = WALL_CELL
     return RegionPartition(grid, labels, int(count))
 
 
-def node_capacities(region_count: int, edges: list[GapEdge]) -> np.ndarray:
+def node_capacities(region_count: int, edges: GapEdges) -> np.ndarray:
     """int64 capacity of every union-graph node: regions are unbounded, the
     seal R + k carries gap edge k's capacity."""
     caps = np.full(region_count + len(edges), np.iinfo(np.int64).max, dtype=np.int64)
-    caps[region_count:] = [e.capacity for e in edges]
+    caps[region_count:] = edges.capacity
     return caps
 
 
-def seal_links(
-    part: RegionPartition, edges: list[GapEdge]
-) -> list[tuple[int, int, int]]:
-    """Capacity-weighted links of the union graph the query timeline runs on.
+def seal_links(part: RegionPartition, edges: GapEdges) -> np.ndarray:
+    """Capacity-weighted links of the union graph the query timeline runs
+    on, as int64 (m, 3) rows (node a, node b, capacity), a < b, sorted.
 
     Nodes are the partition's labels: region ids (0..R-1) plus one node
     R+k per gap edge k.  Two nodes link when cells they own are 4-adjacent
@@ -216,11 +212,10 @@ def seal_links(
             keys.append(sorted_unique(key))
     a, b = np.divmod(sorted_unique(np.concatenate(keys)), nodes)
 
-    caps = node_capacities(rc, edges)
-    rects = np.array([e.edge_rect for e in edges], dtype=np.int64).reshape(-1, 4)
-    ra, rb = rects[np.maximum(a - rc, 0)], rects[b - rc]  # b is always a seal
-    ox = np.minimum(ra[:, 2], rb[:, 2]) - np.maximum(ra[:, 0], rb[:, 0])
-    oy = np.minimum(ra[:, 3], rb[:, 3]) - np.maximum(ra[:, 1], rb[:, 1])
+    ra, rb = edges.rect[:, np.maximum(a - rc, 0)], edges.rect[:, b - rc]  # b is a seal
+    ox = np.minimum(ra[2], rb[2]) - np.maximum(ra[0], rb[0])
+    oy = np.minimum(ra[3], rb[3]) - np.maximum(ra[1], rb[1])
     keep = (a < rc) | (ox != 0) | (oy != 0)
     a, b = a[keep], b[keep]
-    return list(zip(a.tolist(), b.tolist(), np.minimum(caps[a], caps[b]).tolist()))
+    caps = node_capacities(rc, edges)
+    return np.column_stack((a, b, np.minimum(caps[a], caps[b])))

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import colorsys
 
-import numpy as np
-
 from .engine import FeasibilityIndex
 from .sweep import columns, pathways
 
@@ -85,15 +83,13 @@ def render_svg(
             'fill="#6b7280" stroke="#1f2937" stroke-width="0.4"/>'
         )
     if show_edges:
-        for e in index.edges:
-            r = e.edge_rect
+        for r in index.edges.rect.T.tolist():
             out.append(
-                f'<rect {rect_attrs(r.x1, r.y1, r.x2, r.y2)} '
+                f'<rect {rect_attrs(*r)} '
                 'fill="url(#hatch)" stroke="#8a5a00" stroke-width="0.3"/>'
             )
     if show_pathways:
-        pairs = [(e.i, e.j) for e in index.edges]
-        i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        i, j = index.edges.pairs.T
         rects = columns(index.obstacles)[1]
         for p in pathways(rects[:, i], rects[:, j])[2].T.tolist():
             out.append(

@@ -6,10 +6,11 @@ as obstacle pairs (`i j`), the run-length encoded cell labels (each cell's
 union-graph node id, or -1 for walls), the region count and the union-graph
 links.  Loading rebuilds the edges from their pairs (sweep.gap_edges) and
 the grid from the obstacles, the same functions the build uses; it rejects
-a misnamed section, a negative count, a coordinate beyond 2 * COORD_LIMIT
-half-units (before numpy's int64 arithmetic could wrap), a pair that is out
-of order or out of range or has no passage, a label that names no node,
-and any line after the links.
+a misnamed section, a negative count, a line of the wrong width, a
+coordinate beyond 2 * COORD_LIMIT half-units (before numpy's int64
+arithmetic could wrap), a pair that is out of order or out of range or has
+no passage, a label that names no node, a link the index could not have
+made (_check_links), and any line after the links.
 It replays the links into a fresh persistent DSU, so a reloaded index
 answers every query exactly like the original.  The text is
 deterministic for a given index.  Files of earlier versions are rejected.
@@ -21,8 +22,8 @@ import numpy as np
 
 from .engine import FeasibilityIndex
 from .geometry import COORD_LIMIT, Obstacle
-from .partition import WALL_CELL, RegionPartition, build_grid
-from .sweep import columns, gap_edges
+from .partition import WALL_CELL, RegionPartition, build_grid, node_capacities
+from .sweep import gap_edges
 
 FORMAT_TAG = "gapgraph-index"
 FORMAT_VERSION = 4
@@ -54,16 +55,13 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
     lines: list[str] = [f"{FORMAT_TAG} {FORMAT_VERSION}"]
     lines.append(f"candidates {index.candidate_count}")
     lines.append(f"obstacles {len(index.obstacles)}")
-    for o in index.obstacles:
-        lines.append(f"{o.x1} {o.y1} {o.x2} {o.y2}")
+    lines += [f"{o.x1} {o.y1} {o.x2} {o.y2}" for o in index.obstacles]
     lines.append(f"edges {len(index.edges)}")
-    for e in index.edges:
-        lines.append(f"{e.i} {e.j}")
+    lines += [f"{i} {j}" for i, j in index.edges.pairs.tolist()]
     lines.append("labels " + " ".join(str(v) for v in _rle(part.labels)))
     lines.append(f"regions {part.region_count}")
     lines.append(f"links {len(index.links)}")
-    for a, b, cap in index.links:
-        lines.append(f"{a} {b} {cap}")
+    lines += [f"{a} {b} {cap}" for a, b, cap in index.links.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -80,10 +78,18 @@ def load_index(path: str) -> FeasibilityIndex:
         raise ValueError(f"corrupt {FORMAT_TAG} file ({exc!r})") from None
 
 
-def _parse(rows) -> FeasibilityIndex:
-    def take() -> list[int]:
-        return [int(v) for v in next(rows).split()]
+def _check_links(links: np.ndarray, region_count: int, caps: np.ndarray) -> None:
+    """ValueError naming the first link that partition.seal_links cannot
+    make; whether its two nodes own touching cells is not checked."""
+    a, b, cap = links.T
+    ok = (0 <= a) & (a < b) & (b < len(caps)) & (b >= region_count)
+    ok[ok] = cap[ok] == np.minimum(caps[a[ok]], caps[b[ok]])
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"link {links[bad[0]].tolist()} is not one the index makes")
 
+
+def _parse(rows) -> FeasibilityIndex:
     def section(name: str) -> list[str]:
         key, *rest = next(rows).split(maxsplit=1)
         if key != name:
@@ -97,34 +103,39 @@ def _parse(rows) -> FeasibilityIndex:
             raise ValueError(f"negative {name} count {n}")
         return n
 
+    def table(name: str, width: int) -> np.ndarray:
+        """The lines a `name` count announces, as int64 (count, width) rows;
+        reshaping to the count, not to (-1, width), fails any other width."""
+        k = count(name)
+        lines = [[int(v) for v in next(rows).split()] for _ in range(k)]
+        return np.array(lines, dtype=np.int64).reshape(k, width)
+
     candidate_count = count("candidates")
 
-    n = count("obstacles")
-    obstacles = []
-    for k in range(n):
-        x1, y1, x2, y2 = take()
-        obstacles.append(Obstacle(k, x1, y1, x2, y2))
-    rects = columns(obstacles)[1]
+    corners = table("obstacles", 4)
     limit = 2 * COORD_LIMIT
-    outside = np.flatnonzero(((rects < -limit) | (rects > limit)).any(axis=0))
+    outside = np.flatnonzero(((corners < -limit) | (corners > limit)).any(axis=1))
     if outside.size:
         raise ValueError(f"obstacle {outside[0]}: coordinate outside [-2**61, 2**61]")
+    obstacles = [Obstacle(k, *c) for k, c in enumerate(corners.tolist())]
+    rects = np.ascontiguousarray(corners.T)
 
-    pairs = []
-    for _ in range(count("edges")):
-        i, j = take()
-        if not 0 <= i < j < n:
-            raise ValueError(f"edge ({i}, {j}) outside 0 <= i < j < {n}")
-        pairs.append((i, j))
-    edges = gap_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2), rects)
+    n = len(obstacles)
+    pairs = table("edges", 2)
+    i, j = pairs.T
+    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
+    if bad.size:
+        raise ValueError(f"edge {pairs[bad[0]].tolist()} outside 0 <= i < j < {n}")
+    edges = gap_edges(pairs, rects)
 
-    grid = build_grid(obstacles)
+    grid = build_grid(rects)
     runs = [int(v) for v in section("labels")]
     region_count = count("regions")
     labels = _unrle(runs, grid.shape, region_count + len(edges))
     part = RegionPartition(grid, labels, region_count)
 
-    links = [tuple(take()) for _ in range(count("links"))]
+    links = table("links", 3)
+    _check_links(links, region_count, node_capacities(region_count, edges))
     if next(rows, None) is not None:
         raise ValueError("trailing lines after the links")
 

@@ -47,6 +47,9 @@ pathways, over int64 columns of many pairs: the ghost check, the clearance
 test and gap_edges (the only producer of GapEdges) use it.  The oracle
 keeps its own scalar pathway.
 
+The stages hand on int64 columns, never one object per pair: sorted
+(m, 2) candidate rows, then one GapEdges record for the kept edges.
+
 Coordinates are half-units of at most 2**61 in magnitude (geometry.
 COORD_LIMIT doubled), so x1 + y2 and every pathway end stay below 2**63.
 """
@@ -57,26 +60,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SYMMETRIES, Obstacle, Rect, Symmetry
-from .partition import build_grid, sorted_unique, wall_cells
+from .geometry import SYMMETRIES, Obstacle, Symmetry
+from .partition import DoubledGrid, sorted_unique, wall_cells
 
 #: Candidates whose pathways relevance_filter computes at once.
 _FILTER_BLOCK = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class GapEdge:
-    """A passable gap between obstacles i < j; every field but the ids
-    follows from the two obstacles (see gap_edges).
+@dataclass(frozen=True, slots=True, eq=False)
+class GapEdges:
+    """The passable gaps between obstacle pairs, as int64 columns; every
+    column but the pairs follows from the two obstacles (see gap_edges)."""
 
-    capacity: largest passable square side, always > 0.
-    edge_rect: normalized gap rectangle, sealed in the partition.
-    """
+    pairs: np.ndarray  # (m, 2) obstacle ids i < j
+    capacity: np.ndarray  # (m,) largest passable square side, always > 0
+    rect: np.ndarray  # (4, m) gap rectangles x1, y1, x2, y2, sealed in the partition
 
-    i: int
-    j: int
-    capacity: int
-    edge_rect: Rect
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def pathways(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,8 +100,8 @@ def pathways(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return s, np.concatenate([np.minimum(lo, hi), np.maximum(lo, hi)]), pathway
 
 
-def gap_edges(pairs: np.ndarray, rects: np.ndarray) -> list[GapEdge]:
-    """The gap edges of the int64 (i, j) rows `pairs`, i < j, over the
+def gap_edges(pairs: np.ndarray, rects: np.ndarray) -> GapEdges:
+    """The gap edges of the int64 (m, 2) rows `pairs`, i < j, over the
     obstacles' (4, n) rect rows (columns); ValueError naming the first pair
     that has no passage."""
     i, j = pairs.T
@@ -109,10 +110,7 @@ def gap_edges(pairs: np.ndarray, rects: np.ndarray) -> list[GapEdge]:
     if shut.size:
         a, b = pairs[shut[0]].tolist()
         raise ValueError(f"obstacles {a} and {b}: no passage")
-    return [
-        GapEdge(a, b, c, Rect(*r))
-        for a, b, c, r in zip(i.tolist(), j.tolist(), s.tolist(), rect.T.tolist())
-    ]
+    return GapEdges(pairs, s, rect)
 
 
 class _FitTree:
@@ -297,11 +295,12 @@ def shadow_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
     return list(zip(anchor.tolist(), other.tolist()))
 
 
-def build_candidates(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
+def build_candidates(obstacles: list[Obstacle]) -> np.ndarray:
     """Sorted, deduplicated candidate pairs (i < j) from all eight symmetry
-    passes: <= 8n primary pairs plus ghost and tie recoveries."""
+    passes, as int64 (m, 2) rows: <= 8n primary pairs plus ghost and tie
+    recoveries."""
     if not obstacles:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     ids, rects = columns(obstacles)
     m = int(ids.max()) + 1
     keys = []
@@ -309,15 +308,15 @@ def build_candidates(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
         pass_pairs = _sweep_pass(ids, _transform(sym, rects))
         for a, b in (pass_pairs[:2], pass_pairs[2:]):
             keys.append(np.minimum(a, b) * m + np.maximum(a, b))
-    i, j = np.divmod(sorted_unique(np.concatenate(keys)), m)
-    return list(zip(i.tolist(), j.tolist()))
+    return np.column_stack(np.divmod(sorted_unique(np.concatenate(keys)), m))
 
 
 def relevance_filter(
-    candidates: list[tuple[int, int]], obstacles: list[Obstacle]
-) -> list[GapEdge]:
-    """Gap edges, in candidate order, of the candidate pairs that have a
-    passage and whose open pathway interior is obstacle-free.
+    candidates: np.ndarray, rects: np.ndarray, grid: DoubledGrid
+) -> GapEdges:
+    """Gap edges, in candidate order, of the int64 (m, 2) candidate pairs
+    that have a passage and whose open pathway interior is obstacle-free,
+    over the obstacles' (4, n) rect rows and their grid (build_grid).
 
     Gaps and pathways are computed as int64 columns, _FILTER_BLOCK
     candidates at a time; only the passable ones are tested and only the
@@ -330,15 +329,12 @@ def relevance_filter(
     which on general-position worlds (perfbench sparse_world, n =
     500-3000) add up to about 17 times the grid's cell count.
     """
-    grid = build_grid(obstacles)
-    walls = wall_cells(grid, obstacles)
-    pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
-    rects = columns(obstacles)[1]
+    walls = wall_cells(grid, rects)
     kept: list[int] = []
     # A block at a time: the columns and rows of every candidate at once
     # were the largest allocation of a lattice world's build.
-    for start in range(0, len(pairs), _FILTER_BLOCK):
-        block = pairs[start : start + _FILTER_BLOCK]
+    for start in range(0, len(candidates), _FILTER_BLOCK):
+        block = candidates[start : start + _FILTER_BLOCK]
         s, _, pathway = pathways(rects[:, block[:, 0]], rects[:, block[:, 1]])
         passable = np.flatnonzero(s > 0)
         rows = pathway[:, passable].T.tolist()
@@ -347,9 +343,4 @@ def relevance_filter(
             for k, r in zip(passable.tolist(), rows)
             if not walls[grid.box(r)].any()
         ]
-    return gap_edges(pairs[kept], rects)
-
-
-def build_gap_edges(obstacles: list[Obstacle]) -> list[GapEdge]:
-    """Full pipeline: sweep candidates, then relevance filtering."""
-    return relevance_filter(build_candidates(obstacles), obstacles)
+    return gap_edges(candidates[kept], rects)

@@ -1,16 +1,26 @@
-"""Shared test helpers: random worlds, random rectilinear polygons, the gap
-edges of chosen pairs, a seal's region links, the region adjacency graph
-that the planarity criterion bounds, and a per-cell reference for the
-straddling remap."""
+"""Shared test helpers: random and general-position worlds, random
+rectilinear polygons, the gap edges of chosen pairs or of a whole world,
+the edges as Python rows, the partition of a world, a scalar grid-line
+lookup, a seal's region links, the region adjacency graph that the
+planarity criterion bounds, and a per-cell reference for the straddling
+remap."""
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import numpy as np
 
-from gapgraph.geometry import Obstacle, RawShape, gaps, ingest_world
-from gapgraph.sweep import GapEdge, columns, gap_edges
+from gapgraph.geometry import Obstacle, RawShape, Rect, gaps, ingest_world
+from gapgraph.partition import RegionPartition, build_grid, build_partition
+from gapgraph.sweep import (
+    GapEdges,
+    build_candidates,
+    columns,
+    gap_edges,
+    relevance_filter,
+)
 
 
 def random_world(rng: random.Random, n: int, span: int = 18) -> list[RawShape]:
@@ -26,10 +36,51 @@ def random_obstacles(rng: random.Random, n: int, span: int = 18) -> list[Obstacl
     return ingest_world(random_world(rng, n, span))
 
 
-def edges_of(obstacles: list[Obstacle], pairs) -> list[GapEdge]:
+def general_position(rng: random.Random, n: int) -> list[Obstacle]:
+    """Odd half-unit corners spread widely: no two sides share a line."""
+    obs = []
+    for k in range(n):
+        x, y = (2 * rng.randint(-500, 500) + 1 for _ in range(2))
+        w, h = (2 * rng.randint(1, 150) for _ in range(2))
+        obs.append(Obstacle(k, x, y, x + w, y + h))
+    return obs
+
+
+def edges_of(obstacles: list[Obstacle], pairs) -> GapEdges:
     """sweep.gap_edges over (i, j) pairs of positions in `obstacles`."""
     rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return gap_edges(rows, columns(obstacles)[1])
+
+
+def build_gap_edges(obstacles: list[Obstacle]) -> GapEdges:
+    """The build's edge stages alone: sweep candidates, then relevance
+    filtering."""
+    rects = columns(obstacles)[1]
+    return relevance_filter(build_candidates(obstacles), rects, build_grid(rects))
+
+
+def partition_of(obstacles: list[Obstacle], edges: GapEdges) -> RegionPartition:
+    """partition.build_partition over the obstacles' columns and grid."""
+    rects = columns(obstacles)[1]
+    return build_partition(rects, edges, build_grid(rects))
+
+
+def line_cell(coords: list[int], v: int) -> int:
+    """Cell of the grid line at coordinate v, by one bisect: the scalar
+    statement of DoubledGrid.closed along one axis."""
+    i = bisect_left(coords, v)
+    assert i < len(coords) and coords[i] == v, "coordinate not on grid"
+    return 2 * i
+
+
+def edge_rows(edges: GapEdges) -> list[tuple[int, int, int, Rect]]:
+    """(i, j, capacity, gap rectangle) of each gap edge, as Python values."""
+    return [
+        (i, j, cap, Rect(*r))
+        for (i, j), cap, r in zip(
+            edges.pairs.tolist(), edges.capacity.tolist(), edges.rect.T.tolist()
+        )
+    ]
 
 
 def _trace_boundary(cells: set[tuple[int, int]]) -> list[tuple[int, int]] | None:
@@ -107,7 +158,7 @@ def linked_regions(links, region_count: int, seal: int) -> dict[int, int]:
     """Region -> link capacity, for each region that seal node
     region_count + seal links to."""
     node = region_count + seal
-    return {a: cap for a, b, cap in links if b == node and a < region_count}
+    return {a: cap for a, b, cap in links.tolist() if b == node and a < region_count}
 
 
 def straddling_node_reference(index, p: tuple[int, int], d: int, seal: int) -> int:
@@ -125,7 +176,7 @@ def straddling_node_reference(index, p: tuple[int, int], d: int, seal: int) -> i
             node = int(labels[ix, iy])
             if 0 <= node < rc:
                 return node
-            if wide == seal and node >= rc and index.edges[node - rc].capacity >= d:
+            if wide == seal and node >= rc and index.edges.capacity[node - rc] >= d:
                 wide = node
     return wide
 
@@ -149,11 +200,10 @@ def region_adjacency(index) -> set[tuple[int, int]]:
         return None
 
     pairs = set()
-    for e in index.edges:
-        r = e.edge_rect
-        cx1, cx2 = grid.line(grid.xs, r.x1), grid.line(grid.xs, r.x2)
-        cy1, cy2 = grid.line(grid.ys, r.y1), grid.line(grid.ys, r.y2)
-        gx, gy = gaps(index.obstacles[e.i], index.obstacles[e.j])
+    for i, j, _, r in edge_rows(index.edges):
+        cx1, cx2 = line_cell(grid.xs, r.x1), line_cell(grid.xs, r.x2)
+        cy1, cy2 = line_cell(grid.ys, r.y1), line_cell(grid.ys, r.y2)
+        gx, gy = gaps(index.obstacles[i], index.obstacles[j])
         if gy >= gx:
             ys = [(cy1 + cy2) // 2, *range(cy1, cy2 + 1)]
             a = probe((cx1 - 1, y) for y in ys)

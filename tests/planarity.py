@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from gapgraph.geometry import Obstacle, Rect, gaps
 from gapgraph.oracle import minimum_pathway
-from gapgraph.sweep import GapEdge
+from gapgraph.sweep import GapEdges
 
 
 def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
@@ -63,33 +63,34 @@ def is_diagonal(a: Obstacle, b: Obstacle) -> bool:
     return gx > 0 and gy > 0
 
 
-def strictly_clear(edge: GapEdge, obstacles: list[Obstacle]) -> bool:
-    """Whether no third obstacle even touches the edge's closed pathway.
+def strictly_clear(i: int, j: int, obstacles: list[Obstacle]) -> bool:
+    """Whether no third obstacle even touches the closed pathway of edge
+    (i, j).
 
     Surviving edges with merely-touching third obstacles sit exactly on the
     boundary of the non-crossing argument (whose pathway is inclusive of
     its edge points); the planarity statement below is asserted for the
     strictly clear ones.
     """
-    p = minimum_pathway(obstacles[edge.i], obstacles[edge.j])
+    p = minimum_pathway(obstacles[i], obstacles[j])
     for o in obstacles:
-        if o.id in (edge.i, edge.j):
+        if o.id in (i, j):
             continue
         if o.x1 <= p.x2 and o.x2 >= p.x1 and o.y1 <= p.y2 and o.y2 >= p.y1:
             return False
     return True
 
 
-def edge_drawing(edge: GapEdge, obstacles: list[Obstacle]):
-    """Geometric realization of an edge for the non-crossing check.
+def edge_drawing(i: int, j: int, r: Rect, obstacles: list[Obstacle]):
+    """Geometric realization of edge (i, j), gap rectangle r, for the
+    non-crossing check.
 
     An edge whose pair shares a projection occupies its whole gap rectangle
     (the corridor between the pair); a diagonal edge is the
     corner-to-corner segment across its gap rectangle, oriented by which
     obstacle sits lower.
     """
-    r = edge.edge_rect
-    a, b = obstacles[edge.i], obstacles[edge.j]
+    a, b = obstacles[i], obstacles[j]
     if not is_diagonal(a, b):
         return ("rect", r)
     left, right = (a, b) if a.x2 <= b.x1 else (b, a)
@@ -117,23 +118,23 @@ def drawings_cross(a, b) -> bool:
 
 
 def non_crossing_violations(
-    obstacles: list[Obstacle], edges: list[GapEdge]
+    obstacles: list[Obstacle], edges: GapEdges
 ) -> list[tuple[int, int, int, int]]:
     """Pairs of strictly clear edges (four distinct obstacles) whose
     drawings collide.  Expected empty: the surviving constraint graph
     embeds without crossings."""
     checked = [
-        (e, edge_drawing(e, obstacles))
-        for e in edges
-        if strictly_clear(e, obstacles)
+        ((i, j), edge_drawing(i, j, Rect(*r), obstacles))
+        for (i, j), r in zip(edges.pairs.tolist(), edges.rect.T.tolist())
+        if strictly_clear(i, j, obstacles)
     ]
     out = []
     for x in range(len(checked)):
         ex, dx = checked[x]
         for y in range(x + 1, len(checked)):
             ey, dy = checked[y]
-            if {ex.i, ex.j} & {ey.i, ey.j}:
+            if set(ex) & set(ey):
                 continue
             if drawings_cross(dx, dy):
-                out.append((ex.i, ex.j, ey.i, ey.j))
+                out.append((*ex, *ey))
     return out

@@ -19,7 +19,7 @@ from gapgraph.sweep import build_candidates, shadow_sweep_pass
 from gapgraph.worldgen import gen_world, world_shapes
 from gapgraph.geometry import SYMMETRIES
 
-from conftest import random_rectilinear_polygon, region_adjacency
+from conftest import edge_rows, random_rectilinear_polygon, region_adjacency
 from planarity import non_crossing_violations
 
 KINDS = ("uniform", "cluster", "maze")
@@ -69,11 +69,8 @@ def test_acceptance_02_edge_set_equivalence():
     worlds = 0
     for kind, n, seed in _generated_worlds(600, 30, seed0=10_000):
         obstacles = ingest_world(world_shapes(kind, n, seed))
-        built = {
-            (e.i, e.j)
-            for e in build_index(world_shapes(kind, n, seed)).edges
-            if e.capacity > 0
-        }
+        edges = build_index(world_shapes(kind, n, seed)).edges
+        built = {(i, j) for i, j, cap, _ in edge_rows(edges) if cap > 0}
         assert built == oracle_relevant_edges(obstacles), (kind, n, seed)
         worlds += 1
     assert worlds >= 500

@@ -46,6 +46,29 @@ def test_build_stages_are_engine_globals(monkeypatch):
     assert calls == dict.fromkeys(("build_index", *BUILD_STAGES, "__post_init__"), 1)
 
 
+def test_stage_lengths_are_row_counts(monkeypatch):
+    # The tracer records len() of these stages' results as per-layer
+    # counts, and the worker JSON-encodes candidate_count and dsu.n.
+    results = {}
+    for name in ("build_candidates", "relevance_filter", "seal_links"):
+        original = getattr(engine, name)
+
+        def keep(*args, _name=name, _original=original):
+            results[_name] = _original(*args)
+            return results[_name]
+
+        monkeypatch.setattr(engine, name, keep)
+    index = engine.build_index(ROOM)
+    candidates, edges, links = (
+        results[name] for name in ("build_candidates", "relevance_filter", "seal_links")
+    )
+    assert len(candidates) == candidates.shape[0] > 0 and candidates.shape[1] == 2
+    assert len(edges) == edges.pairs.shape[0] == edges.capacity.shape[0] == edges.rect.shape[1] > 0
+    assert len(links) == links.shape[0] > 0 and links.shape[1] == 3
+    assert type(index.candidate_count) is int and index.candidate_count == len(candidates)
+    assert type(index.dsu.n) is int
+
+
 def test_index_attributes():
     index = engine.build_index(ROOM)
     assert isinstance(index.candidate_count, int)

@@ -308,6 +308,10 @@ class TestCli:
             .replace("candidates", "whatever")
             .replace("regions", "nonsense"),
             EMPTY_INDEX.format(labels="25 0") + "garbage\n",
+            # the gap's capacity is 2; a link at 100 would let wider robots by
+            GAP_INDEX.format(edge="0 1").replace("\n0 1 2\n", "\n0 1 100\n"),
+            # three 2-field lines hold six numbers, two rows of three
+            GAP_INDEX.format(edge="0 1").replace("links 1\n0 1 2", "links 3\n0 1\n0 1\n0 1"),
         ],
         ids=[
             "missing",
@@ -327,6 +331,8 @@ class TestCli:
             "negative-count",
             "misnamed-sections",
             "trailing-line",
+            "link-capacity",
+            "link-two-fields",
         ],
     )
     def test_unreadable_index_exits_1(self, command, content, tmp_path, capsys):
@@ -342,6 +348,32 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(idx) in err
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            ["0 2 100", "1 2 100"],  # the gap admits 8 half-units, not 100
+            ["0 2 8", "0 1 8"],  # regions never link to each other
+            ["2 0 8", "1 2 8"],
+            ["0 2 8", "1 3 8"],  # there is no node 3
+        ],
+        ids=["capacity", "region-to-region", "out-of-order", "out-of-range"],
+    )
+    def test_edited_room_links_exit_1(self, links, room, tmp_path, capsys):
+        # The room's two links join each region to the gap's seal, node 2,
+        # at capacity 8; with both raised to 100, a loader that replays
+        # links unchecked answers this side-5 query FEASIBLE.
+        idx = tmp_path / "room.idx"
+        assert main(["build", str(room), "-o", str(idx)]) == 0
+        text = idx.read_text()
+        assert text.endswith("links 2\n0 2 8\n1 2 8\n")
+        idx.write_text(text.replace("0 2 8\n1 2 8\n", "\n".join(links) + "\n"))
+        queries = tmp_path / "q.txt"
+        queries.write_text("Q 5 5 15 5 5\n")
+        capsys.readouterr()
+        assert main(["query", str(idx), str(queries)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not one the index makes" in err
 
     @pytest.mark.parametrize("command", ["build", "gen", "render", "verify"])
     def test_output_in_missing_directory_exits_1(self, command, room, tmp_path, capsys):

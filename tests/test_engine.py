@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gapgraph.cli import inject_fault
@@ -8,9 +9,10 @@ from gapgraph.engine import Query, Verdict, build_index, preprocess
 from gapgraph.geometry import SYMMETRIES, Obstacle, ingest_world
 from gapgraph.oracle import oracle_feasible
 from gapgraph.partition import build_grid
+from gapgraph.sweep import columns
 from gapgraph.worldgen import world_shapes
 
-from conftest import linked_regions, random_world, straddling_node_reference
+from conftest import edge_rows, linked_regions, random_world, straddling_node_reference
 
 ROOM = [
     ("rect", (0, 0, 10, 1)),
@@ -24,7 +26,7 @@ ROOM = [
 def test_empty_world():
     idx = build_index([])
     assert idx.partition.region_count == 1
-    assert idx.edges == []
+    assert len(idx.edges) == 0 and idx.links.shape == (0, 3)
     assert idx.feasible(Query((0, 0), (500, -500), 2)) is Verdict.FEASIBLE
 
 
@@ -64,7 +66,7 @@ def test_fig_style_world_counts():
         ]
     )
     assert len(idx.obstacles) == 4
-    passable = [(e.i, e.j) for e in idx.edges if e.capacity > 0]
+    passable = [(i, j) for i, j, cap, _ in edge_rows(idx.edges) if cap > 0]
     assert passable == [(0, 1), (0, 2), (2, 3)]
 
 
@@ -101,7 +103,7 @@ class TestSealedRemap:
                 ref = idx.partition.locate(p) - idx.partition.region_count
                 if ref < 0 or not idx.placement_free(p, d):
                     continue
-                if d > idx.edges[ref].capacity:
+                if d > idx.edges.capacity[ref]:
                     continue
                 probes = linked_regions(idx.links, idx.partition.region_count, ref)
                 if len(probes) < 2:
@@ -138,14 +140,13 @@ class TestStraddlingNode:
         for _ in range(150):
             idx = _general_position_index(rng)
             rc = idx.partition.region_count
-            for e in idx.edges:
-                r = e.edge_rect
+            for *_, r in edge_rows(idx.edges):
                 for _ in range(10):
                     p = (rng.randint(r.x1, r.x2), rng.randint(r.y1, r.y2))
                     seal = idx.partition.locate(p)
                     if seal < rc:
                         continue
-                    d = 2 * (idx.edges[seal - rc].capacity // 2 + rng.randint(1, 4))
+                    d = 2 * (int(idx.edges.capacity[seal - rc]) // 2 + rng.randint(1, 4))
                     if not idx.placement_free(p, d):
                         continue
                     got = idx._straddling_node(p, d, seal)
@@ -163,7 +164,7 @@ class TestStraddlingNode:
             part = idx.partition
             rc, nodes = part.region_count, part.region_count + len(idx.edges)
             p, d = (rng.randint(0, 52), rng.randint(0, 52)), 2 * rng.randint(1, 4)
-            narrow = [rc + k for k, e in enumerate(idx.edges) if e.capacity < d]
+            narrow = [rc + k for k in np.flatnonzero(idx.edges.capacity < d).tolist()]
             if not narrow or not idx.placement_free(p, d):
                 continue
             body = part.labels[part.grid.body(p, d)]
@@ -184,7 +185,7 @@ class TestStraddlingNode:
 def test_lattice_query_reads_at_most_2d_plus_1_squared_cells(n):
     # On integer coordinates an open interval of length D meets at most D
     # grid lines and D + 1 intervals between them, whatever n is.
-    grid = build_grid(ingest_world(world_shapes("uniform", n, 0)))
+    grid = build_grid(columns(ingest_world(world_shapes("uniform", n, 0)))[1])
     rng = random.Random(n)
     lo, hi = grid.xs[0] // 2 - 3, grid.xs[-1] // 2 + 3
     for side in range(1, 9):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gapgraph.engine import build_index
 from gapgraph.geometry import COORD_LIMIT, Rect, ingest_world, placement_free
 from gapgraph.partition import build_grid, wall_cells
+from gapgraph.sweep import columns
 from gapgraph.worldio import parse_queries, parse_world
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -99,8 +100,9 @@ def test_grid_box_wall_check_equals_obstacle_scan(boxes, corners_and_sizes):
     """Open rectangles of independent width and height, corners on odd and
     even half-units, reaching beyond the sentinels."""
     obstacles = ingest_world([("rect", (x, y, x + w, y + h)) for x, y, w, h in boxes])
-    grid = build_grid(obstacles)
-    walls = wall_cells(grid, obstacles)
+    rects = columns(obstacles)[1]
+    grid = build_grid(rects)
+    walls = wall_cells(grid, rects)
     for (x, y), w, h in corners_and_sizes:
         r = Rect(x, y, x + w, y + h)
         hit = any(

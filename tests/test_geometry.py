@@ -88,7 +88,7 @@ def fixed_obstacle(rng, i, span=20):
 
 class TestCapacity:
     def test_diagonal_pair(self):
-        assert edges_of([A_DIAG, B_DIAG], [(0, 1)])[0].capacity == 3
+        assert edges_of([A_DIAG, B_DIAG], [(0, 1)]).capacity[0] == 3
 
     def test_full_overlap_has_no_passage(self):
         a = rect_obstacle(0, 0, 0, 2, 2)
@@ -96,7 +96,7 @@ class TestCapacity:
             edges_of([a, rect_obstacle(1, 0, 0, 2, 2)], [(0, 1)])
 
     def test_overlap_pair(self):
-        assert edges_of([A_OVER, B_OVER], [(0, 1)])[0].capacity == 4
+        assert edges_of([A_OVER, B_OVER], [(0, 1)]).capacity[0] == 4
 
     def test_zero_iff_projections_meet_on_both_axes(self):
         rng = random.Random(2)
@@ -108,15 +108,15 @@ class TestCapacity:
                 with pytest.raises(ValueError, match="no passage"):
                     edges_of([a, b], [(0, 1)])
             else:
-                assert edges_of([a, b], [(0, 1)])[0].capacity == max(g)
+                assert edges_of([a, b], [(0, 1)]).capacity[0] == max(g)
 
 
 class TestThinEdgeRect:
     def test_overlap_pair(self):
-        assert edges_of([A_OVER, B_OVER], [(0, 1)])[0].edge_rect == Rect(14, 6, 18, 10)
+        assert edges_of([A_OVER, B_OVER], [(0, 1)]).rect.T.tolist() == [[14, 6, 18, 10]]
 
     def test_diagonal_pair_normalized(self):
-        assert edges_of([A_DIAG, B_DIAG], [(0, 1)])[0].edge_rect == Rect(2, 2, 3, 5)
+        assert edges_of([A_DIAG, B_DIAG], [(0, 1)]).rect.T.tolist() == [[2, 2, 3, 5]]
 
 
 class TestPlacementFree:

@@ -2,11 +2,23 @@ import math
 import random
 from collections import deque
 
-from gapgraph.geometry import Rect, ingest_world
-from gapgraph.partition import WALL_CELL, build_partition, seal_links
-from gapgraph.sweep import build_gap_edges
+import numpy as np
+import pytest
 
-from conftest import edges_of, linked_regions, random_obstacles
+from gapgraph.geometry import Rect, ingest_world
+from gapgraph.partition import WALL_CELL, build_grid, seal_links
+from gapgraph.sweep import columns
+
+from conftest import (
+    build_gap_edges,
+    edge_rows,
+    edges_of,
+    general_position,
+    line_cell,
+    linked_regions,
+    partition_of,
+    random_obstacles,
+)
 
 # Four obstacles around two pockets, with all five drawn gap rectangles
 # sealed (including two a relevance pass would drop): the left pocket and the
@@ -26,7 +38,7 @@ RIGHT_POCKET = (12, 10)
 
 
 def test_drawn_edge_rects_match_layout():
-    rects = {(e.i, e.j): e.edge_rect for e in FIVE_EDGES}
+    rects = {(i, j): r for i, j, _, r in edge_rows(FIVE_EDGES)}
     assert rects[(0, 1)] == Rect(8, 16, 16, 20)
     assert rects[(1, 2)] == Rect(16, 4, 20, 16)
     assert rects[(0, 2)] == Rect(0, 4, 8, 8)
@@ -34,14 +46,62 @@ def test_drawn_edge_rects_match_layout():
     assert rects[(2, 3)] == Rect(-12, 4, -8, 14)
 
 
+def _closed_reference(grid, rects) -> list[list[int]]:
+    """DoubledGrid.closed, one bisect per rectangle side."""
+    return [
+        [
+            line_cell(grid.xs, x1),
+            line_cell(grid.ys, y1),
+            line_cell(grid.xs, x2) + 1,
+            line_cell(grid.ys, y2) + 1,
+        ]
+        for x1, y1, x2, y2 in rects.T.tolist()
+    ]
+
+
+class TestClosed:
+    def test_matches_bisect_reference(self):
+        # Obstacles, gap rectangles and random rectangles on grid lines
+        # (sentinels included), on lattice and general-position worlds,
+        # the empty world and worlds without edges.
+        rng = random.Random(44)
+        worlds = [[], *(random_obstacles(rng, 1) for _ in range(2))]
+        worlds += [random_obstacles(rng, rng.randint(1, 14), span=10) for _ in range(40)]
+        worlds += [general_position(rng, rng.randint(1, 14)) for _ in range(40)]
+        edgeless = 0
+        for obs in worlds:
+            rects = columns(obs)[1]
+            grid = build_grid(rects)
+            edges = build_gap_edges(obs)
+            edgeless += not len(edges)
+            drawn = []
+            for _ in range(30):
+                (x1, x2), (y1, y2) = (sorted(rng.choices(c, k=2)) for c in (grid.xs, grid.ys))
+                drawn.append((x1, y1, x2, y2))
+            drawn = np.array(drawn, dtype=np.int64).T
+            for rows in (rects, edges.rect, drawn):
+                assert grid.closed(rows).T.tolist() == _closed_reference(grid, rows)
+        assert edgeless >= 3
+
+    @pytest.mark.parametrize("side", range(4))
+    @pytest.mark.parametrize("shift", [-1, 1, 10**6])
+    def test_off_grid_side_fails(self, side, shift):
+        rects = columns(FOUR_BOXES)[1]
+        grid = build_grid(rects)
+        moved = rects.copy()
+        moved[side, 2] += shift
+        with pytest.raises(AssertionError, match="coordinate not on grid"):
+            grid.closed(moved)
+
+
 def test_single_obstacle_single_region():
     obs = ingest_world([("rect", (0, 0, 3, 2))])
-    part = build_partition(obs, [])
+    part = partition_of(obs, edges_of(obs, []))
     assert part.region_count == 1
 
 
 def test_pockets_are_distinct_regions():
-    part = build_partition(FOUR_BOXES, FIVE_EDGES)
+    part = partition_of(FOUR_BOXES, FIVE_EDGES)
     ra = part.locate(LEFT_POCKET)
     rb = part.locate(RIGHT_POCKET)
     assert 0 <= ra < part.region_count and 0 <= rb < part.region_count
@@ -51,23 +111,23 @@ def test_pockets_are_distinct_regions():
 def test_sealed_diagonal_pair_leaves_one_region():
     obs = ingest_world([("rect", (0, 1, 2, 2)), ("rect", (3, 5, 5, 7))])
     edges = edges_of(obs, [(0, 1)])
-    part = build_partition(obs, edges)
+    part = partition_of(obs, edges)
     assert part.region_count == 1
 
 
 class TestLocate:
     def test_point_inside_obstacle(self):
-        part = build_partition(FOUR_BOXES, FIVE_EDGES)
+        part = partition_of(FOUR_BOXES, FIVE_EDGES)
         assert part.locate((2, 14)) == WALL_CELL  # inside the tall box
 
     def test_point_beyond_all_coordinates(self):
-        part = build_partition(FOUR_BOXES, FIVE_EDGES)
+        part = partition_of(FOUR_BOXES, FIVE_EDGES)
         outer = part.locate((10_000, -10_000))
         assert 0 <= outer < part.region_count
         assert part.locate((-9_999, 9_999)) == outer
 
     def test_point_inside_sealed_gap(self):
-        part = build_partition(FOUR_BOXES, FIVE_EDGES)
+        part = partition_of(FOUR_BOXES, FIVE_EDGES)
         node = part.locate((4, 6))  # interior of the (0,2) gap rect
         assert node == part.region_count + FIVE_PAIRS.index((0, 2))
 
@@ -77,7 +137,8 @@ class TestLocate:
         for _ in range(12):
             obs = random_obstacles(rng, rng.randint(1, 12), span=10)
             edges = build_gap_edges(obs)
-            part = build_partition(obs, edges)
+            rows = edge_rows(edges)
+            part = partition_of(obs, edges)
             rc = part.region_count
             for _ in range(900):
                 p = (rng.randint(-6, 30), rng.randint(-6, 30))
@@ -86,15 +147,14 @@ class TestLocate:
                     o.x1 <= p[0] <= o.x2 and o.y1 <= p[1] <= o.y2 for o in obs
                 )
                 in_seal = any(
-                    e.edge_rect.x1 <= p[0] <= e.edge_rect.x2
-                    and e.edge_rect.y1 <= p[1] <= e.edge_rect.y2
-                    for e in edges
+                    r.x1 <= p[0] <= r.x2 and r.y1 <= p[1] <= r.y2
+                    for _, _, _, r in rows
                 )
                 if in_wall:
                     assert node == WALL_CELL
                 elif in_seal:
                     assert rc <= node < rc + len(edges)
-                    r = edges[node - rc].edge_rect
+                    r = rows[node - rc][3]
                     assert r.x1 <= p[0] <= r.x2 and r.y1 <= p[1] <= r.y2
                 else:
                     assert 0 <= node < rc
@@ -107,19 +167,20 @@ def test_every_cell_has_exactly_one_label():
     for _ in range(10):
         obs = random_obstacles(rng, rng.randint(1, 10), span=10)
         edges = build_gap_edges(obs)
-        part = build_partition(obs, edges)
+        rows = edge_rows(edges)
+        part = partition_of(obs, edges)
         grid = part.grid
 
         def covers(r, ix, iy):
             return (
-                grid.line(grid.xs, r.x1) <= ix <= grid.line(grid.xs, r.x2)
-                and grid.line(grid.ys, r.y1) <= iy <= grid.line(grid.ys, r.y2)
+                line_cell(grid.xs, r.x1) <= ix <= line_cell(grid.xs, r.x2)
+                and line_cell(grid.ys, r.y1) <= iy <= line_cell(grid.ys, r.y2)
             )
 
         nx, ny = part.labels.shape
         for ix in range(nx):
             for iy in range(ny):
-                seals = [k for k, e in enumerate(edges) if covers(e.edge_rect, ix, iy)]
+                seals = [k for k, row in enumerate(rows) if covers(row[3], ix, iy)]
                 node = part.labels[ix, iy]
                 if any(covers(o.rect, ix, iy) for o in obs):
                     assert node == WALL_CELL
@@ -133,7 +194,7 @@ def test_regions_are_single_connected_components():
     rng = random.Random(42)
     for _ in range(10):
         obs = random_obstacles(rng, rng.randint(1, 10), span=10)
-        part = build_partition(obs, build_gap_edges(obs))
+        part = partition_of(obs, build_gap_edges(obs))
         nx, ny = part.labels.shape
 
         def region_at(ix, iy):
@@ -176,8 +237,8 @@ class TestSealLinks:
     def test_diagonal_pair_links_its_one_region(self):
         obs = ingest_world([("rect", (0, 1, 2, 2)), ("rect", (3, 5, 5, 7))])
         edges = edges_of(obs, [(0, 1)])
-        part = build_partition(obs, edges)
-        assert seal_links(part, edges) == [(0, 1, edges[0].capacity)]
+        part = partition_of(obs, edges)
+        assert seal_links(part, edges).tolist() == [[0, 1, edges.capacity[0]]]
 
     def test_room_with_single_gap(self):
         room = ingest_world(
@@ -190,14 +251,14 @@ class TestSealLinks:
             ]
         )
         edges = build_gap_edges(room)
-        part = build_partition(room, edges)
+        part = partition_of(room, edges)
         links = seal_links(part, edges)
         assert part.region_count == 2
-        (gap,) = [k for k, e in enumerate(edges) if e.capacity > 0]
+        (gap,) = np.flatnonzero(edges.capacity > 0).tolist()
         assert linked_regions(links, part.region_count, gap) == {0: 8, 1: 8}
 
     def test_pocket_adjacency_through_gap_under_tall_box(self):
-        part = build_partition(FOUR_BOXES, FIVE_EDGES)
+        part = partition_of(FOUR_BOXES, FIVE_EDGES)
         links = seal_links(part, FIVE_EDGES)
         ra = part.locate(LEFT_POCKET)
         rb = part.locate(RIGHT_POCKET)
@@ -209,14 +270,14 @@ class TestSealLinks:
         for _ in range(30):
             obs = random_obstacles(rng, rng.randint(2, 14), span=10)
             edges = build_gap_edges(obs)
-            part = build_partition(obs, edges)
+            part = partition_of(obs, edges)
             rc = part.region_count
-            for a, b, cap in seal_links(part, edges):
+            for a, b, cap in seal_links(part, edges).tolist():
                 assert 0 <= a < b < rc + len(edges)
                 assert b >= rc  # every link ends at a seal node
-                assert 0 < cap <= edges[b - rc].capacity
+                assert 0 < cap <= edges.capacity[b - rc]
                 if a < rc:
-                    assert cap == edges[b - rc].capacity
+                    assert cap == edges.capacity[b - rc]
 
     def test_links_are_touching_cell_pairs(self):
         # Brute force over every 4-adjacent cell pair of the same worlds.
@@ -225,7 +286,8 @@ class TestSealLinks:
         for _ in range(30):
             obs = random_obstacles(rng, rng.randint(2, 14), span=10)
             edges = build_gap_edges(obs)
-            part = build_partition(obs, edges)
+            rows = edge_rows(edges)
+            part = partition_of(obs, edges)
             rc = part.region_count
             labels = part.labels.tolist()
             nx, ny = part.labels.shape
@@ -241,15 +303,15 @@ class TestSealLinks:
             def corner_only(a, b):
                 if a < rc:
                     return False
-                r, f = edges[a - rc].edge_rect, edges[b - rc].edge_rect
+                r, f = rows[a - rc][3], rows[b - rc][3]
                 ox = min(r.x2, f.x2) - max(r.x1, f.x1)
                 oy = min(r.y2, f.y2) - max(r.y1, f.y1)
                 return ox == 0 and oy == 0
 
             def capacity(node):
-                return math.inf if node < rc else edges[node - rc].capacity
+                return math.inf if node < rc else rows[node - rc][2]
 
-            links = seal_links(part, edges)
+            links = seal_links(part, edges).tolist()
             expected = {p for p in touching if not corner_only(*p)}
             assert {(a, b) for a, b, _ in links} == expected
             for a, b, cap in links:
@@ -271,8 +333,8 @@ def test_seal_links_connect_corridor_chains():
         ]
     )
     edges = build_gap_edges(obs)
-    part = build_partition(obs, edges)
-    links = seal_links(part, edges)
+    part = partition_of(obs, edges)
+    links = seal_links(part, edges).tolist()
     rc = part.region_count
     # union-find over the links restricted to capacity >= 2
     parent = list(range(rc + len(edges)))

@@ -15,11 +15,9 @@ from gapgraph.geometry import (
     ingest_world,
 )
 from gapgraph.oracle import minimum_pathway, oracle_feasible, oracle_relevant_edges
-from gapgraph.partition import WALL_CELL, build_partition
+from gapgraph.partition import WALL_CELL, build_grid
 from gapgraph.sweep import (
-    GapEdge,
     build_candidates,
-    build_gap_edges,
     columns,
     pathways,
     relevance_filter,
@@ -27,7 +25,14 @@ from gapgraph.sweep import (
 )
 from gapgraph.worldgen import world_shapes
 
-from conftest import edges_of, random_obstacles
+from conftest import (
+    build_gap_edges,
+    edge_rows,
+    edges_of,
+    general_position,
+    partition_of,
+    random_obstacles,
+)
 from planarity import is_diagonal, non_crossing_violations
 from sweep_reference import reference_candidates, reference_sweep_pass, shadow_contains
 
@@ -63,16 +68,21 @@ class TestMinimumPathway:
             a, b = random_obstacles(rng, 2)
             if max(gaps(a, b)) <= 0:
                 continue
-            (e,) = edges_of([a, b], [(0, 1)])
-            p, r = minimum_pathway(a, b), e.edge_rect
+            ((*_, r),) = edge_rows(edges_of([a, b], [(0, 1)]))
+            p = minimum_pathway(a, b)
             assert p.x1 <= r.x1 and p.y1 <= r.y1 and p.x2 >= r.x2 and p.y2 >= r.y2
+
+
+def _pairs(rows: np.ndarray) -> list[tuple[int, int]]:
+    """int64 (m, 2) pair rows as Python tuples."""
+    return [(i, j) for i, j in rows.tolist()]
 
 
 def _passage_axis(a: Obstacle, b: Obstacle) -> str | None:
     """The axis the pair's minimum pathway runs along: it extends past the
     gap rectangle in that direction and matches it across."""
-    (e,) = edges_of([a, b], [(0, 1)])
-    p, r = minimum_pathway(a, b), e.edge_rect
+    ((*_, r),) = edge_rows(edges_of([a, b], [(0, 1)]))
+    p = minimum_pathway(a, b)
     if (p.y1, p.y2) == (r.y1, r.y2) and p.x1 < r.x1 and r.x2 < p.x2:
         return "horizontal"
     if (p.x1, p.x2) == (r.x1, r.x2) and p.y1 < r.y1 and r.y2 < p.y2:
@@ -80,16 +90,16 @@ def _passage_axis(a: Obstacle, b: Obstacle) -> str | None:
     return None
 
 
-class TestGapEdge:
+class TestGapEdges:
     def test_diagonal_kind_and_axis(self):
-        (e,) = edges_of([DIAG_A, DIAG_B], [(0, 1)])
+        (cap,) = edges_of([DIAG_A, DIAG_B], [(0, 1)]).capacity.tolist()
         assert is_diagonal(DIAG_A, DIAG_B)
-        assert (_passage_axis(DIAG_A, DIAG_B), e.capacity) == ("horizontal", 6)
+        assert (_passage_axis(DIAG_A, DIAG_B), cap) == ("horizontal", 6)
 
     def test_overlap_kind(self):
-        (e,) = edges_of([OVER_A, OVER_B], [(0, 1)])
+        (cap,) = edges_of([OVER_A, OVER_B], [(0, 1)]).capacity.tolist()
         assert not is_diagonal(OVER_A, OVER_B)
-        assert (_passage_axis(OVER_A, OVER_B), e.capacity) == ("horizontal", 4)
+        assert (_passage_axis(OVER_A, OVER_B), cap) == ("horizontal", 4)
 
     def test_vertical_passage(self):
         assert not is_diagonal(COLLINEAR[0], COLLINEAR[1])
@@ -155,17 +165,18 @@ class TestShadowSweepPass:
 
 class TestBuildCandidates:
     def test_trivial_worlds(self):
-        assert build_candidates([]) == []
-        assert build_candidates([Obstacle(0, 0, 0, 2, 2)]) == []
+        for obs in ([], [Obstacle(0, 0, 0, 2, 2)]):
+            cands = build_candidates(obs)
+            assert cands.dtype == np.int64 and cands.shape == (0, 2)
 
     def test_two_diagonal_obstacles(self):
-        assert build_candidates([DIAG_A, DIAG_B]) == [(0, 1)]
+        assert build_candidates([DIAG_A, DIAG_B]).tolist() == [[0, 1]]
 
     def test_bound_and_completeness(self):
         rng = random.Random(23)
         for _ in range(80):
             obs = random_obstacles(rng, rng.randint(1, 24), span=14)
-            cands = set(build_candidates(obs))
+            cands = set(map(tuple, build_candidates(obs).tolist()))
             assert len(cands) <= 8 * len(obs)
             assert oracle_relevant_edges(obs) <= cands
 
@@ -179,16 +190,6 @@ def _tied_columns(rng: random.Random, n: int) -> list[Obstacle]:
         x, y = 3 * rng.randrange(columns), rng.randint(0, 20)
         shapes.append(("rect", (x, y, x + rng.randint(1, 3), y + rng.randint(1, 4))))
     return ingest_world(shapes)
-
-
-def _general_position(rng: random.Random, n: int) -> list[Obstacle]:
-    """Odd half-unit corners spread widely: no two sides share a line."""
-    obs = []
-    for k in range(n):
-        x, y = (2 * rng.randint(-500, 500) + 1 for _ in range(2))
-        w, h = (2 * rng.randint(1, 150) for _ in range(2))
-        obs.append(Obstacle(k, x, y, x + w, y + h))
-    return obs
 
 
 def _extreme_corners(rng: random.Random, n: int) -> list[Obstacle]:
@@ -210,7 +211,7 @@ def test_gap_edges_match_python_reference():
     pair with no passage raises and names the first such pair."""
     rng = random.Random(29)
     worlds = [random_obstacles(rng, 12, span=10) for _ in range(20)]
-    worlds += [_general_position(rng, 12) for _ in range(20)]
+    worlds += [general_position(rng, 12) for _ in range(20)]
     worlds += [_extreme_corners(rng, 12) for _ in range(20)]
     shut_seen = 0
     for obs in worlds:
@@ -230,9 +231,11 @@ def test_gap_edges_match_python_reference():
                 (x1, x2), (y1, y2) = sorted((p.x1 + s, p.x2 - s)), (p.y1, p.y2)
             else:
                 (x1, x2), (y1, y2) = (p.x1, p.x2), sorted((p.y1 + s, p.y2 - s))
-            expected.append(GapEdge(i, j, s, Rect(x1, y1, x2, y2)))
+            expected.append((i, j, s, Rect(x1, y1, x2, y2)))
             expected_paths.append(list(p))
-        assert edges_of(obs, passable) == expected
+        edges = edges_of(obs, passable)
+        assert edge_rows(edges) == expected
+        assert [a.dtype for a in (edges.pairs, edges.capacity, edges.rect)] == [np.int64] * 3
         i, j = np.array(passable, dtype=np.int64).reshape(-1, 2).T
         rects = columns(obs)[1]
         assert pathways(rects[:, i], rects[:, j])[2].T.tolist() == expected_paths
@@ -250,7 +253,7 @@ def _reference_worlds():
     for _ in range(60):
         yield _tied_columns(rng, rng.randint(1, 40))
     for _ in range(60):
-        yield _general_position(rng, rng.randint(1, 30))
+        yield general_position(rng, rng.randint(1, 30))
 
 
 class TestMatchesReference:
@@ -259,7 +262,7 @@ class TestMatchesReference:
 
     def test_build_candidates(self):
         for obs in _reference_worlds():
-            assert build_candidates(obs) == reference_candidates(obs), obs
+            assert _pairs(build_candidates(obs)) == reference_candidates(obs), obs
 
     def test_shadow_sweep_pass_under_every_symmetry(self):
         for obs in _reference_worlds():
@@ -285,9 +288,9 @@ def test_int64_headroom_at_the_coordinate_limit():
         ("rect", (-7, e - 2, 5, e)),
     ]
     obstacles = ingest_world(shapes)
-    assert build_candidates(obstacles) == reference_candidates(obstacles)
+    assert _pairs(build_candidates(obstacles)) == reference_candidates(obstacles)
     index = build_index(shapes)
-    assert {(g.i, g.j) for g in index.edges} == oracle_relevant_edges(obstacles)
+    assert set(_pairs(index.edges.pairs)) == oracle_relevant_edges(obstacles)
     rng = random.Random(28)
     verdicts = set()
     for _ in range(60):
@@ -332,17 +335,20 @@ def test_staggered_tie_doubling_ratio():
 class TestRelevanceFilter:
     def test_lone_pair_survives(self):
         edges = build_gap_edges([DIAG_A, DIAG_B])
-        assert [(e.i, e.j) for e in edges] == [(0, 1)]
+        assert _pairs(edges.pairs) == [(0, 1)]
 
     def test_collinear_middle_kills_long_edge(self):
-        all_pairs = [(0, 1), (0, 2), (1, 2)]
-        kept = {(e.i, e.j) for e in relevance_filter(all_pairs, COLLINEAR)}
+        all_pairs = np.array([(0, 1), (0, 2), (1, 2)], dtype=np.int64)
+        rects = columns(COLLINEAR)[1]
+        kept = set(_pairs(relevance_filter(all_pairs, rects, build_grid(rects)).pairs))
         assert kept == {(0, 2), (1, 2)}
 
     def test_capacity_zero_pairs_dropped(self):
         touching = ingest_world([("rect", (0, 0, 1, 1)), ("rect", (1, 0, 2, 1))])
-        assert relevance_filter([(0, 1)], touching) == []
-        part = build_partition(touching, [])
+        rects = columns(touching)[1]
+        pair = np.array([(0, 1)], dtype=np.int64)
+        assert len(relevance_filter(pair, rects, build_grid(rects))) == 0
+        part = partition_of(touching, edges_of(touching, []))
         for y in (0, 1, 2):  # the whole contact segment is wall
             assert part.locate((2, y)) == WALL_CELL
 
@@ -350,13 +356,13 @@ class TestRelevanceFilter:
         rng = random.Random(24)
         for _ in range(120):
             obs = random_obstacles(rng, rng.randint(1, 22), span=12)
-            built = {(e.i, e.j) for e in build_gap_edges(obs)}
+            built = set(_pairs(build_gap_edges(obs).pairs))
             assert built == oracle_relevant_edges(obs)
         # General position: odd half-unit coordinates spread widely, so
         # pathway ends fall between grid lines and beyond the sentinels.
         for _ in range(120):
-            obs = _general_position(rng, rng.randint(1, 22))
-            built = {(e.i, e.j) for e in build_gap_edges(obs)}
+            obs = general_position(rng, rng.randint(1, 22))
+            built = set(_pairs(build_gap_edges(obs).pairs))
             assert built == oracle_relevant_edges(obs)
 
     def test_superseding_inequalities_for_removed_edges(self):
@@ -364,20 +370,20 @@ class TestRelevanceFilter:
         checked = 0
         for _ in range(150):
             obs = random_obstacles(rng, rng.randint(3, 14), span=8)
-            kept = {(e.i, e.j) for e in build_gap_edges(obs)}
+            kept = set(_pairs(build_gap_edges(obs).pairs))
             removed = [
                 (i, j)
-                for i, j in build_candidates(obs)
+                for i, j in _pairs(build_candidates(obs))
                 if (i, j) not in kept and max(gaps(obs[i], obs[j])) > 0
             ]
-            for e in edges_of(obs, removed):
-                p = minimum_pathway(obs[e.i], obs[e.j])
+            for i, j, cap, _ in edge_rows(edges_of(obs, removed)):
+                p = minimum_pathway(obs[i], obs[j])
                 for k, o in enumerate(obs):
-                    if k in (e.i, e.j):
+                    if k in (i, j):
                         continue
                     if p.x1 <= o.x1 and o.x2 <= p.x2 and p.y1 <= o.y1 and o.y2 <= p.y2:
-                        assert max(*gaps(obs[e.i], o), 0) <= e.capacity
-                        assert max(*gaps(obs[e.j], o), 0) <= e.capacity
+                        assert max(*gaps(obs[i], o), 0) <= cap
+                        assert max(*gaps(obs[j], o), 0) <= cap
                         checked += 1
         assert checked > 20
 
