@@ -20,10 +20,6 @@ class PersistentDsu:
         self._rank = [0] * n
         self._time = 0
 
-    @property
-    def time(self) -> int:
-        return self._time
-
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range 0..{self.n - 1}")

@@ -2,11 +2,13 @@
 
 Preprocessing runs the edge sweep, which keeps only passable gaps (pairs
 of obstacles that meet leave nothing to seal: walls cover their contact),
-seals the gap rectangles into a region partition, and replays the
-capacity-weighted links of the region/seal adjacency graph into a
-persistent DSU in descending capacity order, so the component structure at
-timestamp k reflects exactly the k widest links.  The stages hand on int64
-columns (candidate pairs, GapEdges, (m, 3) links) and share one grid.
+and seals the gap rectangles into a region partition.  The index itself
+derives the capacity-weighted links of the region/seal adjacency graph
+from the partition and replays them into a persistent DSU in descending
+capacity order, so the component structure at timestamp k reflects exactly
+the k widest links; a build and a load (store) construct it the same way
+from obstacles, edges and partition.  The stages hand on int64 columns
+(candidate pairs, GapEdges, (m, 3) links) and share one grid.
 A query checks each placement against the partition's wall cells (every
 obstacle side is a grid line, so the open body meets an obstacle exactly
 when a cell under it is a wall), locates both endpoints, which reads their
@@ -70,16 +72,19 @@ class FeasibilityIndex:
     edges: GapEdges
     candidate_count: int
     partition: RegionPartition
-    links: np.ndarray  # int64 (m, 3) rows: node a, node b, capacity
 
+    links: np.ndarray = field(init=False)  # int64 (m, 3): node a, node b, capacity
     dsu: PersistentDsu = field(init=False)
     _neg_caps: list[int] = field(init=False)
     _node_caps: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        """Derive the links from the partition and replay them, the same
+        after a build and after a load."""
+        self.links = seal_links(self.partition, self.edges)
         node_count = self.partition.region_count + len(self.edges)
         self.dsu = PersistentDsu(node_count)
-        # Widest first; ties keep their stored order.
+        # Widest first; ties keep seal_links' sorted order.
         order = np.argsort(-self.links[:, 2], kind="stable")
         for a, b in self.links[order, :2].tolist():
             self.dsu.union(a, b)
@@ -148,20 +153,18 @@ class FeasibilityIndex:
 
 
 def preprocess(obstacles: list[Obstacle]) -> FeasibilityIndex:
-    """Build the full index: edges, partition, union timeline.  The grid
-    is made once and shared by the filter and the partition."""
+    """Build the full index: edges, partition, then (in the index) links
+    and union timeline.  The grid is made once and shared by the filter
+    and the partition."""
     rects = columns(obstacles)[1]
     grid = build_grid(rects)
     candidates = build_candidates(obstacles)
     edges = relevance_filter(candidates, rects, grid)
-    part = build_partition(rects, edges, grid)
-    links = seal_links(part, edges)
     return FeasibilityIndex(
         obstacles=obstacles,
         edges=edges,
         candidate_count=len(candidates),
-        partition=part,
-        links=links,
+        partition=build_partition(rects, edges, grid),
     )
 
 

@@ -67,17 +67,6 @@ class Symmetry:
             x, y = y, -x
         return x, y
 
-    def rect(self, r: Rect) -> Rect:
-        ax, ay = self.point(r.x1, r.y1)
-        bx, by = self.point(r.x2, r.y2)
-        return Rect(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-
-    def inverse(self) -> "Symmetry":
-        # Mirrored elements are involutions; pure rotations invert by angle.
-        if self.mirrored:
-            return self
-        return Symmetry((4 - self.rotation) % 4, False)
-
 
 SYMMETRIES: tuple[Symmetry, ...] = tuple(
     Symmetry(rot, mir) for mir in (False, True) for rot in range(4)

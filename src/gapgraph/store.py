@@ -1,19 +1,23 @@
 """Versioned plain-text serialization of a FeasibilityIndex.
 
-Format v4 holds only what cannot be rebuilt cheaply: the candidate count,
-the obstacles (`x1 y1 x2 y2`, the id is the line's position), the gap edges
-as obstacle pairs (`i j`), the run-length encoded cell labels (each cell's
-union-graph node id, or -1 for walls), the region count and the union-graph
-links.  Loading rebuilds the edges from their pairs (sweep.gap_edges) and
-the grid from the obstacles, the same functions the build uses; it rejects
-a misnamed section, a negative count, a line of the wrong width, a
-coordinate beyond 2 * COORD_LIMIT half-units (before numpy's int64
-arithmetic could wrap), a pair that is out of order or out of range or has
-no passage, a label that names no node, a link the index could not have
-made (_check_links), and any line after the links.
-It replays the links into a fresh persistent DSU, so a reloaded index
-answers every query exactly like the original.  The text is
-deterministic for a given index.  Files of earlier versions are rejected.
+Format v5 holds the candidate count, the obstacles (`x1 y1 x2 y2`, the id
+is the line's position), the gap edges as obstacle pairs (`i j`), the
+run-length encoded cell labels (each cell's union-graph node id, or -1 for
+walls) and the region count.  Loading rebuilds the edges from their pairs
+(sweep.gap_edges) and the grid from the obstacles, the same functions the
+build uses; the index then derives its links and DSU timeline from the
+partition, as after a build.  Each table and the labels line is read by one
+np.loadtxt into int64, which takes no comments, so a stray `#` fails.  A
+load rejects a misnamed section, a negative count, a line of the wrong
+width, a coordinate beyond 2 * COORD_LIMIT half-units (before numpy's int64
+arithmetic could wrap), a degenerate obstacle, a pair that is out of order
+or out of range or has no passage, label runs that do not exactly cover the
+grid, more regions than label runs (a region owns at least one; the bound
+also keeps node ids within int32), a label that names no node, wall labels
+on any cell but the obstacles' own (wall_cells), and any line after the
+region count.  A reloaded index answers every query exactly like the
+original.  The text is deterministic for a given index.  Files of earlier
+versions are rejected.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import numpy as np
 
 from .engine import FeasibilityIndex
 from .geometry import COORD_LIMIT, Obstacle
-from .partition import WALL_CELL, RegionPartition, build_grid, node_capacities
+from .partition import WALL_CELL, RegionPartition, build_grid, wall_cells
 from .sweep import gap_edges
 
 FORMAT_TAG = "gapgraph-index"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _rle(array: np.ndarray) -> list[int]:
@@ -37,17 +41,29 @@ def _rle(array: np.ndarray) -> list[int]:
     return np.column_stack((counts, flat[starts])).ravel().tolist()
 
 
-def _unrle(values: list[int], shape: tuple[int, int], nodes: int) -> np.ndarray:
-    """Cell labels from (count, label) runs; each label must name one of
-    `nodes` union-graph nodes or be WALL_CELL.  The counts are checked
-    before anything is expanded."""
-    counts = values[0::2]
-    if min(counts, default=1) < 1 or sum(counts) != shape[0] * shape[1]:
+def _unrle(runs: np.ndarray, shape: tuple[int, int], nodes: int) -> np.ndarray:
+    """Cell labels from int64 (count, label) rows; each label must name one
+    of `nodes` union-graph nodes or be WALL_CELL.  Each count is bounded by
+    the cell count before the counts are summed, so the sum cannot wrap."""
+    counts, labels = runs.T
+    cells = shape[0] * shape[1]
+    if not ((counts >= 1) & (counts <= cells)).all() or counts.sum() != cells:
         raise ValueError(f"label runs do not cover the {shape[0]}x{shape[1]} grid")
-    labels = np.array(values[1::2], dtype=np.int32)
     if labels.size and (labels.min() < WALL_CELL or labels.max() >= nodes):
         raise ValueError(f"cell label outside [{WALL_CELL}, {nodes})")
-    return np.repeat(labels, values[0::2]).reshape(shape)
+    return np.repeat(labels.astype(np.int32), counts).reshape(shape)
+
+
+def _ints(lines: list[str]) -> np.ndarray:
+    """int64 rows, one per line, of whitespace-separated integers: one
+    np.loadtxt with no comment character, so a `#` fails like any other
+    non-integer.  Lines of unequal width or a blank line fail."""
+    rows = np.empty((0, 0), dtype=np.int64)
+    if any(map(str.strip, lines)):  # loadtxt warns when there is no data
+        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    if len(rows) != len(lines):
+        raise ValueError("a blank line where integers were due")
+    return rows
 
 
 def save_index(index: FeasibilityIndex, path: str) -> None:
@@ -60,14 +76,12 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
     lines += [f"{i} {j}" for i, j in index.edges.pairs.tolist()]
     lines.append("labels " + " ".join(str(v) for v in _rle(part.labels)))
     lines.append(f"regions {part.region_count}")
-    lines.append(f"links {len(index.links)}")
-    lines += [f"{a} {b} {cap}" for a, b, cap in index.links.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_index(path: str) -> FeasibilityIndex:
-    """Raises ValueError for anything but a complete, consistent v4 file."""
+    """Raises ValueError for anything but a complete, consistent v5 file."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if lines[:1] != [f"{FORMAT_TAG} {FORMAT_VERSION}"]:
@@ -78,27 +92,15 @@ def load_index(path: str) -> FeasibilityIndex:
         raise ValueError(f"corrupt {FORMAT_TAG} file ({exc!r})") from None
 
 
-def _check_links(links: np.ndarray, region_count: int, caps: np.ndarray) -> None:
-    """ValueError naming the first link that partition.seal_links cannot
-    make; whether its two nodes own touching cells is not checked."""
-    a, b, cap = links.T
-    ok = (0 <= a) & (a < b) & (b < len(caps)) & (b >= region_count)
-    ok[ok] = cap[ok] == np.minimum(caps[a[ok]], caps[b[ok]])
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"link {links[bad[0]].tolist()} is not one the index makes")
-
-
 def _parse(rows) -> FeasibilityIndex:
-    def section(name: str) -> list[str]:
+    def section(name: str) -> str:
         key, *rest = next(rows).split(maxsplit=1)
         if key != name:
             raise ValueError(f"expected a {name!r} line, got {key!r}")
-        return rest[0].split() if rest else []
+        return rest[0] if rest else ""
 
     def count(name: str) -> int:
-        (value,) = section(name)
-        n = int(value)
+        n = int(section(name))
         if n < 0:
             raise ValueError(f"negative {name} count {n}")
         return n
@@ -107,8 +109,7 @@ def _parse(rows) -> FeasibilityIndex:
         """The lines a `name` count announces, as int64 (count, width) rows;
         reshaping to the count, not to (-1, width), fails any other width."""
         k = count(name)
-        lines = [[int(v) for v in next(rows).split()] for _ in range(k)]
-        return np.array(lines, dtype=np.int64).reshape(k, width)
+        return _ints([next(rows) for _ in range(k)]).reshape(k, width)
 
     candidate_count = count("candidates")
 
@@ -129,20 +130,19 @@ def _parse(rows) -> FeasibilityIndex:
     edges = gap_edges(pairs, rects)
 
     grid = build_grid(rects)
-    runs = [int(v) for v in section("labels")]
+    runs = _ints([section("labels")]).reshape(-1, 2)
     region_count = count("regions")
+    if region_count > len(runs):
+        raise ValueError(f"{region_count} regions in {len(runs)} label runs")
     labels = _unrle(runs, grid.shape, region_count + len(edges))
-    part = RegionPartition(grid, labels, region_count)
-
-    links = table("links", 3)
-    _check_links(links, region_count, node_capacities(region_count, edges))
+    if not np.array_equal(labels == WALL_CELL, wall_cells(grid, rects)):
+        raise ValueError("wall labels differ from the obstacles' cells")
     if next(rows, None) is not None:
-        raise ValueError("trailing lines after the links")
+        raise ValueError("trailing lines after the region count")
 
     return FeasibilityIndex(
         obstacles=obstacles,
         edges=edges,
         candidate_count=candidate_count,
-        partition=part,
-        links=links,
+        partition=RegionPartition(grid, labels, region_count),
     )

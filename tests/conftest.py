@@ -1,5 +1,6 @@
-"""Shared test helpers: random and general-position worlds, random
-rectilinear polygons, the gap edges of chosen pairs or of a whole world,
+"""Shared test helpers: a rectangle under a plane symmetry and the inverse
+symmetry, a DSU's latest timestamp, random and general-position worlds,
+random rectilinear polygons, the gap edges of chosen pairs or of a whole world,
 the edges as Python rows, the partition of a world, a scalar grid-line
 lookup, a seal's region links, the region adjacency graph that the
 planarity criterion bounds, and a per-cell reference for the straddling
@@ -12,7 +13,8 @@ from bisect import bisect_left
 
 import numpy as np
 
-from gapgraph.geometry import Obstacle, RawShape, Rect, gaps, ingest_world
+from gapgraph.dsu import PersistentDsu
+from gapgraph.geometry import Obstacle, RawShape, Rect, Symmetry, gaps, ingest_world
 from gapgraph.partition import RegionPartition, build_grid, build_partition
 from gapgraph.sweep import (
     GapEdges,
@@ -21,6 +23,26 @@ from gapgraph.sweep import (
     gap_edges,
     relevance_filter,
 )
+
+
+def sym_rect(sym: Symmetry, r: Rect) -> Rect:
+    """The rectangle r under the symmetry sym."""
+    ax, ay = sym.point(r.x1, r.y1)
+    bx, by = sym.point(r.x2, r.y2)
+    return Rect(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+
+
+def sym_inverse(sym: Symmetry) -> Symmetry:
+    """The symmetry that undoes sym."""
+    # Mirrored elements are involutions; pure rotations invert by angle.
+    if sym.mirrored:
+        return sym
+    return Symmetry((4 - sym.rotation) % 4, False)
+
+
+def dsu_time(dsu: PersistentDsu) -> int:
+    """The DSU's latest timestamp: the number of union calls so far."""
+    return dsu._time
 
 
 def random_world(rng: random.Random, n: int, span: int = 18) -> list[RawShape]:

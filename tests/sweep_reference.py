@@ -15,6 +15,8 @@ from bisect import bisect_left
 from gapgraph.geometry import SYMMETRIES, Obstacle, Rect
 from gapgraph.oracle import minimum_pathway
 
+from conftest import sym_rect
+
 
 def shadow_contains(anchor: Obstacle, other: Obstacle) -> bool:
     """Whether other's bottom side lies entirely in anchor's shadow region."""
@@ -164,7 +166,7 @@ def reference_candidates(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
     """Deduplicated, sorted candidate pairs from all eight reference passes."""
     seen: set[tuple[int, int]] = set()
     for sym in SYMMETRIES:
-        transformed = [Obstacle(o.id, *sym.rect(o.rect)) for o in obstacles]
+        transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obstacles]
         pairs, extras = _sweep_pass_full(transformed)
         for a, b in pairs + extras:
             seen.add((a, b) if a < b else (b, a))

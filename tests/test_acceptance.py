@@ -19,7 +19,13 @@ from gapgraph.sweep import build_candidates, shadow_sweep_pass
 from gapgraph.worldgen import gen_world, world_shapes
 from gapgraph.geometry import SYMMETRIES
 
-from conftest import edge_rows, random_rectilinear_polygon, region_adjacency
+from conftest import (
+    dsu_time,
+    edge_rows,
+    random_rectilinear_polygon,
+    region_adjacency,
+    sym_rect,
+)
 from planarity import non_crossing_violations
 
 KINDS = ("uniform", "cluster", "maze")
@@ -83,7 +89,7 @@ def test_acceptance_03_candidate_bounds():
         obstacles = ingest_world(world_shapes(kind, n, seed))
         assert len(build_candidates(obstacles)) <= 8 * len(obstacles)
         for sym in SYMMETRIES:
-            transformed = [Obstacle(o.id, *sym.rect(o.rect)) for o in obstacles]
+            transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obstacles]
             assert len(shadow_sweep_pass(transformed)) <= len(obstacles)
         worlds += 1
     print(f"ACCEPTANCE 3 candidate bounds: PASS ({worlds} worlds)")
@@ -142,7 +148,7 @@ def test_acceptance_05_persistent_dsu():
             for u, v in pairs:
                 assert dsu.connected_with_hops(u, v, t)[0] == (find_at(u) == find_at(v))
         bound = math.ceil(math.log2(n)) + 1
-        worst = max(dsu.find(u, dsu.time)[1] for u in range(n))
+        worst = max(dsu.find(u, dsu_time(dsu))[1] for u in range(n))
         assert worst <= bound
         sequences += 1
     assert sequences == 1000

@@ -22,16 +22,15 @@ R 9 0 10 4
 R 9 8 10 10
 """
 
-#: A v4 index of the empty world (one region, no edges, a 5x5 cell grid)
+#: A v5 index of the empty world (one region, no edges, a 5x5 cell grid)
 #: with the given run-length encoded cell labels.
 EMPTY_INDEX = """\
-gapgraph-index 4
+gapgraph-index 5
 candidates 0
 obstacles 0
 edges 0
 labels {labels}
 regions 1
-links 0
 """
 
 #: The empty world in the v2 and v3 layouts, which held grid coordinates.
@@ -47,10 +46,10 @@ regions 1
 links 0
 """
 
-#: A v4 index of the boxes [0,1]x[0,1] and [2,3]x[0,1], whose one gap edge
+#: A v5 index of the boxes [0,1]x[0,1] and [2,3]x[0,1], whose one gap edge
 #: (seal node 1) is given as its obstacle pair.
 GAP_INDEX = """\
-gapgraph-index 4
+gapgraph-index 5
 candidates 1
 obstacles 2
 0 0 2 2
@@ -59,14 +58,12 @@ edges 1
 {edge}
 labels 16 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 1 4 0 3 -1 4 0 3 -1 4 0 3 -1 16 0
 regions 1
-links 1
-0 1 2
 """
 
-#: A v4 index of the touching boxes [0,1]x[0,1] and [1,2]x[0,1] that lists
+#: A v5 index of the touching boxes [0,1]x[0,1] and [1,2]x[0,1] that lists
 #: their pair as an edge.
 TOUCHING_INDEX = """\
-gapgraph-index 4
+gapgraph-index 5
 candidates 1
 obstacles 2
 0 0 2 2
@@ -75,7 +72,17 @@ edges 1
 0 1
 labels 16 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 -1 16 0
 regions 1
-links 0
+"""
+
+#: The v5 index of `R 0 0 2 2` (a 7x7 cell grid) with the given labels.
+BOX_INDEX = """\
+gapgraph-index 5
+candidates 0
+obstacles 1
+0 0 4 4
+edges 0
+labels {labels}
+regions 1
 """
 
 
@@ -294,24 +301,34 @@ class TestCli:
             OLD_EMPTY_INDEX.format(version=3),
             "gapgraph-index 2\ncandidates 0\nobstacles 3\n0 0 0 2 2\n",
             "gapgraph-index 4\ncandidates 0\nobstacles 3\n0 0 2 2\n",
+            "gapgraph-index 5\ncandidates 0\nobstacles 3\n0 0 2 2\n",
+            # GAP_INDEX as v4 wrote it, with its links section
+            GAP_INDEX.format(edge="0 1").replace("index 5", "index 4") + "links 1\n0 1 2\n",
             # the centre cell names node 1, a seal of an edge that is not there
             EMPTY_INDEX.format(labels="12 0 1 1 12 0"),
             EMPTY_INDEX.format(labels="25 4294967296"),
             EMPTY_INDEX.format(labels=f"{2**40} 0"),
+            # region 1 owns no cell; a region count beyond the runs would
+            # also let a node id past 2**31 wrap as an int32 cell label
+            EMPTY_INDEX.format(labels="25 0").replace("regions 1", "regions 2"),
+            # the counts sum to 2**64 + 25, which int64 would wrap to 25
+            EMPTY_INDEX.format(labels=f"{2**62} 0 " * 4 + "25 0"),
+            # the box's cells labelled free: a start inside it would be valid
+            BOX_INDEX.format(labels="49 0"),
+            # a wall on the empty world's centre cell
+            EMPTY_INDEX.format(labels="12 0 1 -1 12 0"),
             GAP_INDEX.format(edge="0 2"),  # obstacle 2 does not exist
             TOUCHING_INDEX,
             # beyond the ingest bound of 2**61 half-units, where int64 wraps
             GAP_INDEX.format(edge="0 1").replace("4 0 6 2", f"4 0 {2**62} 2"),
             GAP_INDEX.format(edge="0 1").replace("0 0 2 2", f"{-2**62} 0 2 2"),
+            GAP_INDEX.format(edge="0 1").replace("4 0 6 2", "4 0 6 2 #"),
+            GAP_INDEX.format(edge="0 1").replace("4 0 6 2", "4 0 4 2"),
             EMPTY_INDEX.format(labels="25 0").replace("obstacles 0", "obstacles -1"),
             EMPTY_INDEX.format(labels="25 0")
             .replace("candidates", "whatever")
             .replace("regions", "nonsense"),
             EMPTY_INDEX.format(labels="25 0") + "garbage\n",
-            # the gap's capacity is 2; a link at 100 would let wider robots by
-            GAP_INDEX.format(edge="0 1").replace("\n0 1 2\n", "\n0 1 100\n"),
-            # three 2-field lines hold six numbers, two rows of three
-            GAP_INDEX.format(edge="0 1").replace("links 1\n0 1 2", "links 3\n0 1\n0 1\n0 1"),
         ],
         ids=[
             "missing",
@@ -321,18 +338,24 @@ class TestCli:
             "v3-index",
             "truncated-v2",
             "truncated-v4",
+            "truncated-v5",
+            "v4-index",
             "label-out-of-range",
             "label-overflow",
             "label-run-overflow",
+            "regions-beyond-runs",
+            "label-run-wrap",
+            "walls-unlabelled",
+            "wall-on-free-cell",
             "edge-out-of-range",
             "edge-no-passage",
             "coordinate-beyond-bound",
             "negative-coordinate-beyond-bound",
+            "coordinate-comment",
+            "degenerate-obstacle",
             "negative-count",
             "misnamed-sections",
             "trailing-line",
-            "link-capacity",
-            "link-two-fields",
         ],
     )
     def test_unreadable_index_exits_1(self, command, content, tmp_path, capsys):
@@ -360,20 +383,41 @@ class TestCli:
         ids=["capacity", "region-to-region", "out-of-order", "out-of-range"],
     )
     def test_edited_room_links_exit_1(self, links, room, tmp_path, capsys):
-        # The room's two links join each region to the gap's seal, node 2,
-        # at capacity 8; with both raised to 100, a loader that replays
-        # links unchecked answers this side-5 query FEASIBLE.
+        # A v5 file holds no links: the index derives the room's two, each
+        # region to the gap's seal, node 2, at capacity 8, so this side-5
+        # query is INFEASIBLE.  A links section written after the region
+        # count (as v4 had one, here edited) is rejected, never replayed.
         idx = tmp_path / "room.idx"
         assert main(["build", str(room), "-o", str(idx)]) == 0
-        text = idx.read_text()
-        assert text.endswith("links 2\n0 2 8\n1 2 8\n")
-        idx.write_text(text.replace("0 2 8\n1 2 8\n", "\n".join(links) + "\n"))
         queries = tmp_path / "q.txt"
         queries.write_text("Q 5 5 15 5 5\n")
         capsys.readouterr()
+        assert main(["query", str(idx), str(queries)]) == 0
+        assert capsys.readouterr().out == "INFEASIBLE\n"
+        text = idx.read_text()
+        assert text.endswith("regions 2\n") and "links" not in text
+        idx.write_text(text + "links 2\n" + "\n".join(links) + "\n")
         assert main(["query", str(idx), str(queries)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "is not one the index makes" in err
+        assert err.startswith("error: ") and "trailing lines" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            EMPTY_INDEX.format(labels="25 0"),
+            GAP_INDEX.format(edge="0 1"),
+            BOX_INDEX.format(labels="16 0 3 -1 4 0 3 -1 4 0 3 -1 16 0"),
+        ],
+        ids=["empty", "gap", "box"],
+    )
+    def test_index_fixtures_load(self, content, tmp_path, capsys):
+        # The files that test_unreadable_index_exits_1 edits load unedited.
+        idx = tmp_path / "x.idx"
+        idx.write_text(content)
+        queries = tmp_path / "q.txt"
+        queries.write_text("Q -3 -3 9 -3 1\n")
+        assert main(["query", str(idx), str(queries)]) == 0
+        assert capsys.readouterr().out == "FEASIBLE\n"
 
     @pytest.mark.parametrize("command", ["build", "gen", "render", "verify"])
     def test_output_in_missing_directory_exits_1(self, command, room, tmp_path, capsys):

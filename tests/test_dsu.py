@@ -5,6 +5,8 @@ import pytest
 
 from gapgraph.dsu import PersistentDsu
 
+from conftest import dsu_time
+
 
 def test_union_returns_timestamps_and_connects():
     dsu = PersistentDsu(4)
@@ -17,7 +19,7 @@ def test_redundant_union_still_advances_time():
     dsu = PersistentDsu(4)
     assert dsu.union(1, 2) == 1
     assert dsu.union(1, 2) == 2
-    assert dsu.time == 2
+    assert dsu_time(dsu) == 2
 
 
 def test_hand_traced_history():
@@ -87,7 +89,7 @@ def test_monotone_in_time():
     for _ in range(300):
         u, v = rng.randrange(n), rng.randrange(n)
         seen_true = False
-        for t in range(dsu.time + 1):
+        for t in range(dsu_time(dsu) + 1):
             now = dsu.connected_with_hops(u, v, t)[0]
             assert now or not seen_true
             seen_true = seen_true or now
@@ -101,7 +103,7 @@ def test_find_path_length_within_rank_bound():
         for _ in range(rng.randint(n, 3 * n)):
             dsu.union(rng.randrange(n), rng.randrange(n))
         bound = math.ceil(math.log2(n)) + 1
-        worst = max(dsu.find(u, dsu.time)[1] for u in range(n))
+        worst = max(dsu.find(u, dsu_time(dsu))[1] for u in range(n))
         assert worst <= bound
 
 

@@ -12,7 +12,13 @@ from gapgraph.partition import build_grid
 from gapgraph.sweep import columns
 from gapgraph.worldgen import world_shapes
 
-from conftest import edge_rows, linked_regions, random_world, straddling_node_reference
+from conftest import (
+    edge_rows,
+    linked_regions,
+    random_world,
+    straddling_node_reference,
+    sym_rect,
+)
 
 ROOM = [
     ("rect", (0, 0, 10, 1)),
@@ -244,7 +250,7 @@ def test_symmetry_invariance():
         ]
         for sym in SYMMETRIES:
             transformed = [
-                Obstacle(o.id, *sym.rect(o.rect)) for o in obstacles
+                Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obstacles
             ]
             idx_t = preprocess(transformed)
             for s, t, d in queries:

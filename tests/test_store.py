@@ -20,7 +20,12 @@ def test_round_trip_reproduces_verdicts(tmp_path):
             assert np.array_equal(getattr(loaded.edges, column), getattr(idx.edges, column))
         assert loaded.partition.grid == idx.partition.grid
         assert loaded.partition.region_count == idx.partition.region_count
+        assert np.array_equal(loaded.partition.labels, idx.partition.labels)
+        # The links and the DSU timeline are derived on load, not stored.
         assert np.array_equal(loaded.links, idx.links)
+        assert loaded.dsu._parent == idx.dsu._parent
+        assert loaded.dsu._link_time == idx.dsu._link_time
+        assert loaded._neg_caps == idx._neg_caps
         assert loaded.candidate_count == idx.candidate_count
         for _ in range(40):
             q = Query(

@@ -32,6 +32,7 @@ from conftest import (
     general_position,
     partition_of,
     random_obstacles,
+    sym_rect,
 )
 from planarity import is_diagonal, non_crossing_violations
 from sweep_reference import reference_candidates, reference_sweep_pass, shadow_contains
@@ -159,7 +160,7 @@ class TestShadowSweepPass:
         for _ in range(60):
             obs = random_obstacles(rng, rng.randint(1, 30), span=10)
             for sym in SYMMETRIES:
-                transformed = [Obstacle(o.id, *sym.rect(o.rect)) for o in obs]
+                transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obs]
                 assert len(shadow_sweep_pass(transformed)) <= len(obs)
 
 
@@ -267,7 +268,7 @@ class TestMatchesReference:
     def test_shadow_sweep_pass_under_every_symmetry(self):
         for obs in _reference_worlds():
             for sym in SYMMETRIES:
-                transformed = [Obstacle(o.id, *sym.rect(o.rect)) for o in obs]
+                transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obs]
                 assert shadow_sweep_pass(transformed) == reference_sweep_pass(
                     transformed
                 ), (sym, obs)
