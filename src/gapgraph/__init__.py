@@ -22,13 +22,7 @@ from .geometry import (
 from .oracle import oracle_feasible, oracle_relevant_edges
 from .partition import RegionPartition, build_partition
 from .polygons import decompose, point_in_polygon, polygon_area
-from .sweep import (
-    GapEdges,
-    build_candidates,
-    gap_edges,
-    relevance_filter,
-    shadow_sweep_pass,
-)
+from .sweep import GapEdges, build_candidates, gap_edges, relevance_filter
 
 __all__ = [
     "FeasibilityIndex",
@@ -59,7 +53,6 @@ __all__ = [
     "polygon_area",
     "preprocess",
     "relevance_filter",
-    "shadow_sweep_pass",
 ]
 
 __version__ = "0.1.0"

@@ -3,17 +3,32 @@
 The grid stores both coordinate lines and the open intervals between them
 as cells (even cell indices are zero-thickness lines, odd are intervals),
 so zero-width gap rectangles and flush boundaries need no epsilons.  One
-sentinel coordinate beyond each extreme keeps the outermost ring free;
-points outside the grid clamp onto that ring, which always belongs to the
-unbounded region.  The grid lines are exactly the obstacle coordinates
-(build_grid); a gap rectangle's sides are coordinates of its own pair, so
-they lie on the grid too, and the grid is rebuilt from the obstacles once
-per build or load, never stored.  Since every obstacle side is a grid line,
-each cell lies wholly inside or wholly outside each closed obstacle
-(wall_cells): an open rectangle meets an obstacle exactly when one of the
-cells it meets (DoubledGrid.box) is a wall.  One such test answers both the
-placement check (the open square of side d at p, DoubledGrid.body) and
-pathway clearance in the relevance filter.
+sentinel coordinate beyond each extreme keeps the outermost ring free.  The
+grid lines are exactly the obstacle coordinates (build_grid); a gap
+rectangle's sides are coordinates of its own pair, so they lie on the grid
+too, and the grid is rebuilt from the obstacles once per build or load,
+never stored.
+
+One rule maps coordinates to cells along an axis.  With C the sorted grid
+lines, L(v) = bisect_left(C, v) and R(v) = bisect_right(C, v):
+
+    point v                      L(v) + R(v) - 1, clamped to [0, 2 len(C) - 2]
+    closed [lo, hi] (grid sides) cells [2 L(lo), 2 R(hi) - 1)
+    open (lo, hi)                cells [max(2 R(lo) - 1, 0), 2 L(hi))
+
+A point beyond a sentinel line clamps onto the ring, which always belongs
+to the unbounded region (RegionPartition.locate).  An open block wholly
+beyond a sentinel line is empty.  The build applies the rule as one
+searchsorted per side over (4, m) rect rows (DoubledGrid.closed and open);
+a query applies it with bisect (DoubledGrid.cell and body).  Since every
+obstacle side is a grid line, each cell lies wholly inside or wholly
+outside each closed obstacle (wall_cells): an open rectangle meets an
+obstacle exactly when one of the cells it meets is a wall, and an empty
+block meets none.  One such test answers both the placement check (the open
+square of side d at p, DoubledGrid.body) and pathway clearance in the
+relevance filter (DoubledGrid.open).  The straddling remap
+(FeasibilityIndex._straddling_node) reads a body only when p lies in a
+seal, so that body holds p's own cell and is never empty.
 
 Cells covered by a closed obstacle are walls; cells covered by a gap edge's
 rectangle (and not walls) are sealed; the rest flood-fill 4-connectedly
@@ -27,7 +42,7 @@ capacities (seal_links).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,55 +66,44 @@ class DoubledGrid:
 
     @staticmethod
     def cell(coords: list[int], v: int) -> int:
-        """Cell containing v along one axis."""
-        i = bisect_left(coords, v)
-        if i == len(coords):
-            return 2 * len(coords) - 2  # beyond the top sentinel line
-        if coords[i] == v:
-            return 2 * i
-        if i == 0:
-            return 0  # beyond the bottom sentinel line
-        return 2 * i - 1
+        """Cell containing the point v along one axis, clamped to the grid."""
+        c = bisect_left(coords, v) + bisect_right(coords, v) - 1
+        return min(max(c, 0), 2 * len(coords) - 2)
+
+    def _cuts(self, sides: np.ndarray, side: str) -> np.ndarray:
+        """searchsorted(grid lines, v, side) for the (2, m) rows of x and y
+        values `sides`."""
+        lines = (self.xs, self.ys)
+        return np.stack([np.searchsorted(c, v, side) for c, v in zip(lines, sides)])
 
     def closed(self, rects: np.ndarray) -> np.ndarray:
         """Cell blocks of the closed rectangles in the int64 (4, m) rect
         rows, whose sides are grid lines: (4, m) rows start_x, start_y,
         stop_x, stop_y, so rectangle k covers labels[start_x[k]:stop_x[k],
-        start_y[k]:stop_y[k]].  One searchsorted per axis."""
-        blocks = np.empty_like(rects)
+        start_y[k]:stop_y[k]]."""
+        start, stop = self._cuts(rects[:2], "left"), self._cuts(rects[2:], "right")
         for axis, coords in enumerate((self.xs, self.ys)):
-            coords = np.array(coords, dtype=np.int64)
-            sides = rects[axis::2]
-            at = np.searchsorted(coords, sides)
-            on_grid = coords[np.minimum(at, len(coords) - 1)] == sides
+            lines = np.clip([start[axis], stop[axis] - 1], 0, len(coords) - 1)
+            on_grid = np.take(coords, lines) == rects[axis::2]
             assert on_grid.all(), "coordinate not on grid"
-            blocks[axis::2] = 2 * at + [[0], [1]]  # stops are one past
-        return blocks
+        return np.concatenate([2 * start, 2 * stop - 1])
 
-    @classmethod
-    def span(cls, coords: list[int], lo: int, hi: int) -> range:
-        """Cells along one axis that the open interval (lo, hi) meets."""
-        a, b = cls.cell(coords, lo), cls.cell(coords, hi)
-        if a % 2 == 0 and coords[a // 2] == lo:
-            a += 1  # the open interval excludes its boundary lines
-        if b % 2 == 0 and coords[b // 2] == hi:
-            b -= 1
-        return range(a, b + 1)
-
-    def box(self, r: tuple[int, int, int, int]) -> tuple[slice, slice]:
-        """Cells that the open rectangle r = (x1, y1, x2, y2) meets, as a
-        block of labels indices.  Beyond a sentinel line the block holds
-        only ring cells, which are never walls."""
-        x1, y1, x2, y2 = r
-        sx = self.span(self.xs, x1, x2)
-        sy = self.span(self.ys, y1, y2)
-        return slice(sx.start, sx.stop), slice(sy.start, sy.stop)
+    def open(self, rects: np.ndarray) -> np.ndarray:
+        """Cell blocks, as closed gives them, that the open rectangles in
+        the int64 (4, m) rect rows meet; a stop may pass the grid's edge,
+        which slicing ignores."""
+        start, stop = self._cuts(rects[:2], "right"), self._cuts(rects[2:], "left")
+        return np.concatenate([np.maximum(2 * start - 1, 0), 2 * stop])
 
     def body(self, p: tuple[int, int], d: int) -> tuple[slice, slice]:
-        """Cells that the open square of side d centred at p meets."""
+        """Cells that the open square of side d centred at p meets: open's
+        rule, with bisect, since this runs twice in every query."""
         h = d // 2
-        # A plain tuple, not a Rect: this runs twice in every query.
-        return self.box((p[0] - h, p[1] - h, p[0] + h, p[1] + h))
+        (x, y), xs, ys = p, self.xs, self.ys
+        return (
+            slice(max(2 * bisect_right(xs, x - h) - 1, 0), 2 * bisect_left(xs, x + h)),
+            slice(max(2 * bisect_right(ys, y - h) - 1, 0), 2 * bisect_left(ys, y + h)),
+        )
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -13,11 +13,11 @@ width, a coordinate beyond 2 * COORD_LIMIT half-units (before numpy's int64
 arithmetic could wrap), a degenerate obstacle, a pair that is out of order
 or out of range or has no passage, label runs that do not exactly cover the
 grid, more regions than label runs (a region owns at least one; the bound
-also keeps node ids within int32), a label that names no node, wall labels
-on any cell but the obstacles' own (wall_cells), and any line after the
-region count.  A reloaded index answers every query exactly like the
-original.  The text is deterministic for a given index.  Files of earlier
-versions are rejected.
+also keeps node ids within int32), a region that labels no run, a label
+that names no node, wall labels on any cell but the obstacles' own
+(wall_cells), and any line after the region count.  A reloaded index
+answers every query exactly like the original.  The text is deterministic
+for a given index.  Files of earlier versions are rejected.
 """
 
 from __future__ import annotations
@@ -134,6 +134,10 @@ def _parse(rows) -> FeasibilityIndex:
     region_count = count("regions")
     if region_count > len(runs):
         raise ValueError(f"{region_count} regions in {len(runs)} label runs")
+    ids = runs[:, 1][(runs[:, 1] >= 0) & (runs[:, 1] < region_count)]
+    owned = np.bincount(ids, minlength=region_count)
+    if not owned.all():
+        raise ValueError(f"region {np.argmin(owned)} labels no cell")
     labels = _unrle(runs, grid.shape, region_count + len(edges))
     if not np.array_equal(labels == WALL_CELL, wall_cells(grid, rects)):
         raise ValueError("wall labels differ from the obstacles' cells")

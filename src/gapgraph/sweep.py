@@ -35,7 +35,7 @@ pathway: the corridor between the pair, extended along the passage axis far
 enough for a maximum-size robot to enter and leave completely.  That test
 is the one the placement check uses: an open rectangle meets an obstacle
 exactly when one of the doubled grid's cells under it is a wall
-(partition.wall_cells, DoubledGrid.box).  Pairs that overlap or touch have
+(partition.wall_cells, DoubledGrid.open).  Pairs that overlap or touch have
 no gap; their contact lies inside both obstacles, which the partition walls
 off anyway, so they are dropped.  Boundary contact does not kill an edge
 (open robot, closed obstacles), so exactly aligned worlds can keep
@@ -286,15 +286,6 @@ def _transform(sym: Symmetry, rects: np.ndarray) -> np.ndarray:
     )
 
 
-def shadow_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
-    """Primary pairs (first(o), o) of one pass, as (anchor id, obstacle id)
-    in emission order: at most one per obstacle, so at most n."""
-    if not obstacles:
-        return []
-    anchor, other, _, _ = _sweep_pass(*columns(obstacles))
-    return list(zip(anchor.tolist(), other.tolist()))
-
-
 def build_candidates(obstacles: list[Obstacle]) -> np.ndarray:
     """Sorted, deduplicated candidate pairs (i < j) from all eight symmetry
     passes, as int64 (m, 2) rows: <= 8n primary pairs plus ghost and tie
@@ -324,10 +315,12 @@ def relevance_filter(
     wall cells, the test the index's placement check uses: every obstacle
     side is a grid line and a pair's own obstacles lie outside its
     pathway's open interior, so a pathway is clear exactly when no cell it
-    meets (DoubledGrid.box) is a wall.  The cost is Theta(grid cells), like
-    build_partition: the wall mask, then the blocks under the pathways,
-    which on general-position worlds (perfbench sparse_world, n =
-    500-3000) add up to about 17 times the grid's cell count.
+    meets is a wall.  One DoubledGrid.open call per block gives the cell
+    blocks of all its passable pathways; then each block's walls are read
+    in turn.  The cost is Theta(grid cells), like build_partition: the wall
+    mask, then the blocks under the pathways, which on general-position
+    worlds (perfbench sparse_world, n = 500-3000) add up to about 17 times
+    the grid's cell count.
     """
     walls = wall_cells(grid, rects)
     kept: list[int] = []
@@ -337,10 +330,10 @@ def relevance_filter(
         block = candidates[start : start + _FILTER_BLOCK]
         s, _, pathway = pathways(rects[:, block[:, 0]], rects[:, block[:, 1]])
         passable = np.flatnonzero(s > 0)
-        rows = pathway[:, passable].T.tolist()
+        cells = grid.open(pathway[:, passable]).T.tolist()
         kept += [
             start + k
-            for k, r in zip(passable.tolist(), rows)
-            if not walls[grid.box(r)].any()
+            for k, (x0, y0, x1, y1) in zip(passable.tolist(), cells)
+            if not walls[x0:x1, y0:y1].any()
         ]
     return gap_edges(candidates[kept], rects)

@@ -1,9 +1,10 @@
 """Shared test helpers: a rectangle under a plane symmetry and the inverse
 symmetry, a DSU's latest timestamp, random and general-position worlds,
-random rectilinear polygons, the gap edges of chosen pairs or of a whole world,
-the edges as Python rows, the partition of a world, a scalar grid-line
-lookup, a seal's region links, the region adjacency graph that the
-planarity criterion bounds, and a per-cell reference for the straddling
+random rectilinear polygons, one sweep pass's primary pairs, the gap edges
+of chosen pairs or of a whole world, the edges as Python rows, the partition
+of a world, scalar grid lookups (a grid line, a point's cell, an open
+interval's cells), a seal's region links, the region adjacency graph that
+the planarity criterion bounds, and a per-cell reference for the straddling
 remap."""
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from gapgraph.geometry import Obstacle, RawShape, Rect, Symmetry, gaps, ingest_w
 from gapgraph.partition import RegionPartition, build_grid, build_partition
 from gapgraph.sweep import (
     GapEdges,
+    _sweep_pass,
     build_candidates,
     columns,
     gap_edges,
@@ -68,6 +70,15 @@ def general_position(rng: random.Random, n: int) -> list[Obstacle]:
     return obs
 
 
+def shadow_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
+    """Primary pairs (first(o), o) of one sweep pass, as (anchor id,
+    obstacle id) in emission order: at most one per obstacle, so at most n."""
+    if not obstacles:
+        return []
+    anchor, other, _, _ = _sweep_pass(*columns(obstacles))
+    return list(zip(anchor.tolist(), other.tolist()))
+
+
 def edges_of(obstacles: list[Obstacle], pairs) -> GapEdges:
     """sweep.gap_edges over (i, j) pairs of positions in `obstacles`."""
     rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -93,6 +104,31 @@ def line_cell(coords: list[int], v: int) -> int:
     i = bisect_left(coords, v)
     assert i < len(coords) and coords[i] == v, "coordinate not on grid"
     return 2 * i
+
+
+def point_cell(coords: list[int], v: int) -> int:
+    """Cell containing v along one axis, case by case: the reference for
+    DoubledGrid.cell."""
+    i = bisect_left(coords, v)
+    if i == len(coords):
+        return 2 * len(coords) - 2  # beyond the top sentinel line
+    if coords[i] == v:
+        return 2 * i
+    if i == 0:
+        return 0  # beyond the bottom sentinel line
+    return 2 * i - 1
+
+
+def open_span(coords: list[int], lo: int, hi: int) -> range:
+    """Cells along one axis that the open interval (lo, hi) meets, from the
+    cells of its ends: the reference for DoubledGrid.open and body.  Wholly
+    beyond a sentinel line it gives the ring cell, where they give none."""
+    a, b = point_cell(coords, lo), point_cell(coords, hi)
+    if a % 2 == 0 and coords[a // 2] == lo:
+        a += 1  # the open interval excludes its boundary lines
+    if b % 2 == 0 and coords[b // 2] == hi:
+        b -= 1
+    return range(a, b + 1)
 
 
 def edge_rows(edges: GapEdges) -> list[tuple[int, int, int, Rect]]:
@@ -192,8 +228,8 @@ def straddling_node_reference(index, p: tuple[int, int], d: int, seal: int) -> i
     part = index.partition
     grid, labels, rc = part.grid, part.labels, part.region_count
     wide = seal
-    rows = grid.span(grid.ys, py - h, py + h)
-    for ix in grid.span(grid.xs, px - h, px + h):
+    rows = open_span(grid.ys, py - h, py + h)
+    for ix in open_span(grid.xs, px - h, px + h):
         for iy in rows:
             node = int(labels[ix, iy])
             if 0 <= node < rc:

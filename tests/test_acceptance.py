@@ -15,7 +15,7 @@ from gapgraph.geometry import Obstacle, ingest_world, placement_free
 from gapgraph.oracle import oracle_feasible, oracle_relevant_edges
 from gapgraph.polygons import decompose, polygon_area
 from gapgraph.store import load_index, save_index
-from gapgraph.sweep import build_candidates, shadow_sweep_pass
+from gapgraph.sweep import build_candidates
 from gapgraph.worldgen import gen_world, world_shapes
 from gapgraph.geometry import SYMMETRIES
 
@@ -24,6 +24,7 @@ from conftest import (
     edge_rows,
     random_rectilinear_polygon,
     region_adjacency,
+    shadow_sweep_pass,
     sym_rect,
 )
 from planarity import non_crossing_violations

@@ -85,6 +85,21 @@ labels {labels}
 regions 1
 """
 
+#: A v5 index of a room sealed by four walls (R 0 0 10 1, R 0 9 10 10,
+#: R 0 0 1 10, R 9 0 10 10): region 0 outside, region 1 the one cell inside.
+SEALED_INDEX = """\
+gapgraph-index 5
+candidates 2
+obstacles 4
+0 0 20 2
+0 18 20 20
+0 0 2 20
+18 0 20 20
+edges 0
+labels 24 0 7 -1 4 0 7 -1 4 0 7 -1 4 0 3 -1 {inside} 3 -1 4 0 7 -1 4 0 7 -1 4 0 7 -1 24 0
+regions 2
+"""
+
 
 class TestWorldIO:
     def test_round_trip(self):
@@ -311,6 +326,9 @@ class TestCli:
             # region 1 owns no cell; a region count beyond the runs would
             # also let a node id past 2**31 wrap as an int32 cell label
             EMPTY_INDEX.format(labels="25 0").replace("regions 1", "regions 2"),
+            # the room's inside labelled as the outside: region 1 owns no
+            # cell, and a start inside would reach the outside
+            SEALED_INDEX.format(inside="1 0"),
             # the counts sum to 2**64 + 25, which int64 would wrap to 25
             EMPTY_INDEX.format(labels=f"{2**62} 0 " * 4 + "25 0"),
             # the box's cells labelled free: a start inside it would be valid
@@ -344,6 +362,7 @@ class TestCli:
             "label-overflow",
             "label-run-overflow",
             "regions-beyond-runs",
+            "region-without-cell",
             "label-run-wrap",
             "walls-unlabelled",
             "wall-on-free-cell",
@@ -407,8 +426,9 @@ class TestCli:
             EMPTY_INDEX.format(labels="25 0"),
             GAP_INDEX.format(edge="0 1"),
             BOX_INDEX.format(labels="16 0 3 -1 4 0 3 -1 4 0 3 -1 16 0"),
+            SEALED_INDEX.format(inside="1 1"),
         ],
-        ids=["empty", "gap", "box"],
+        ids=["empty", "gap", "box", "sealed"],
     )
     def test_index_fixtures_load(self, content, tmp_path, capsys):
         # The files that test_unreadable_index_exits_1 edits load unedited.

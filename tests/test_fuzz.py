@@ -3,6 +3,7 @@ in ValueError (a clean exit-1 message in the CLI), never in another
 exception; the grid's open-box wall test, alone and as the index's
 placement check, equals the obstacle scan."""
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,19 +95,22 @@ def test_grid_placement_check_equals_obstacle_scan(boxes, points, half_side):
     ),
 )
 # One box of half-units (0, 0)-(2, 2), sentinels at -2 and 4: a rectangle
-# that ends on the bottom x sentinel line, and one that spans the grid.
-@example([(0, 0, 1, 1)], [((-30, 1), 28, 2), ((-30, -30), 40, 40)])
+# that ends on the bottom x sentinel line, one that spans the grid, and one
+# wholly beyond the top sentinel lines.
+@example([(0, 0, 1, 1)], [((-30, 1), 28, 2), ((-30, -30), 40, 40), ((5, 6), 3, 1)])
 def test_grid_box_wall_check_equals_obstacle_scan(boxes, corners_and_sizes):
     """Open rectangles of independent width and height, corners on odd and
-    even half-units, reaching beyond the sentinels."""
+    even half-units, reaching beyond the sentinels, all in one call of
+    DoubledGrid.open, as the relevance filter makes it."""
     obstacles = ingest_world([("rect", (x, y, x + w, y + h)) for x, y, w, h in boxes])
     rects = columns(obstacles)[1]
     grid = build_grid(rects)
     walls = wall_cells(grid, rects)
-    for (x, y), w, h in corners_and_sizes:
-        r = Rect(x, y, x + w, y + h)
+    opened = np.array([(x, y, x + w, y + h) for (x, y), w, h in corners_and_sizes]).T
+    for r, (x0, y0, x1, y1) in zip(opened.T.tolist(), grid.open(opened).T.tolist()):
+        r = Rect(*r)
         hit = any(
             o.x1 < r.x2 and o.x2 > r.x1 and o.y1 < r.y2 and o.y2 > r.y1
             for o in obstacles
         )
-        assert walls[grid.box(r)].any() == hit, r
+        assert walls[x0:x1, y0:y1].any() == hit, r

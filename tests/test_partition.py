@@ -16,7 +16,9 @@ from conftest import (
     general_position,
     line_cell,
     linked_regions,
+    open_span,
     partition_of,
+    point_cell,
     random_obstacles,
 )
 
@@ -59,16 +61,25 @@ def _closed_reference(grid, rects) -> list[list[int]]:
     ]
 
 
+def _near(rng: random.Random, coords: list[int]) -> int:
+    """A value on a grid line (sentinels included), next to one, beyond a
+    sentinel or anywhere between."""
+    v = rng.choice(coords)
+    beyond = coords[0] - 5, coords[-1] + 5
+    return rng.choice([v, v, v - 1, v + 1, *beyond, v + rng.randint(-9, 9)])
+
+
 class TestClosed:
     def test_matches_bisect_reference(self):
         # Obstacles, gap rectangles and random rectangles on grid lines
         # (sentinels included), on lattice and general-position worlds,
-        # the empty world and worlds without edges.
+        # the empty world and worlds without edges; then open rectangles
+        # and points anywhere, lo == hi included.
         rng = random.Random(44)
         worlds = [[], *(random_obstacles(rng, 1) for _ in range(2))]
         worlds += [random_obstacles(rng, rng.randint(1, 14), span=10) for _ in range(40)]
         worlds += [general_position(rng, rng.randint(1, 14)) for _ in range(40)]
-        edgeless = 0
+        edgeless = beyond = 0
         for obs in worlds:
             rects = columns(obs)[1]
             grid = build_grid(rects)
@@ -81,7 +92,39 @@ class TestClosed:
             drawn = np.array(drawn, dtype=np.int64).T
             for rows in (rects, edges.rect, drawn):
                 assert grid.closed(rows).T.tolist() == _closed_reference(grid, rows)
+
+            axes = (grid.xs, grid.ys)
+            for coords in axes:
+                for _ in range(30):
+                    v = _near(rng, coords)
+                    assert grid.cell(coords, v) == point_cell(coords, v), v
+            opened = []
+            for _ in range(60):
+                (x1, x2), (y1, y2) = [sorted([_near(rng, c), _near(rng, c)]) for c in axes]
+                opened.append((x1, y1, x2, y2))
+            opened += [(x1, y1, x1, y1) for x1, y1, *_ in opened[:10]]  # lo == hi
+            opened = np.array(opened, dtype=np.int64).T
+            for box, r in zip(grid.open(opened).T.tolist(), opened.T.tolist()):
+                for axis, (coords, size) in enumerate(zip(axes, grid.shape)):
+                    lo, hi = r[axis], r[axis + 2]
+                    cells = range(*slice(box[axis], box[axis + 2]).indices(size))
+                    if hi < coords[0] or lo > coords[-1]:
+                        # Wholly beyond a sentinel line: no cell, where
+                        # the reference gives the ring cell.
+                        ring = 0 if hi < coords[0] else size - 1
+                        assert not cells
+                        assert open_span(coords, lo, hi) == range(ring, ring + 1)
+                        beyond += 1
+                    else:
+                        assert cells == open_span(coords, lo, hi), (lo, hi)
+            for _ in range(20):
+                p, d = (_near(rng, grid.xs), _near(rng, grid.ys)), 2 * rng.randint(1, 6)
+                h = d // 2
+                square = np.array([[p[0] - h], [p[1] - h], [p[0] + h], [p[1] + h]])
+                x0, y0, x1, y1 = grid.open(square)[:, 0].tolist()
+                assert grid.body(p, d) == (slice(x0, x1), slice(y0, y1))
         assert edgeless >= 3
+        assert beyond >= 100
 
     @pytest.mark.parametrize("side", range(4))
     @pytest.mark.parametrize("shift", [-1, 1, 10**6])

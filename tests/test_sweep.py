@@ -16,13 +16,7 @@ from gapgraph.geometry import (
 )
 from gapgraph.oracle import minimum_pathway, oracle_feasible, oracle_relevant_edges
 from gapgraph.partition import WALL_CELL, build_grid
-from gapgraph.sweep import (
-    build_candidates,
-    columns,
-    pathways,
-    relevance_filter,
-    shadow_sweep_pass,
-)
+from gapgraph.sweep import build_candidates, columns, pathways, relevance_filter
 from gapgraph.worldgen import world_shapes
 
 from conftest import (
@@ -32,6 +26,7 @@ from conftest import (
     general_position,
     partition_of,
     random_obstacles,
+    shadow_sweep_pass,
     sym_rect,
 )
 from planarity import is_diagonal, non_crossing_violations
