@@ -84,8 +84,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     index = _load(args.index, load_index)
-    for q in _load_queries(args.queries):
-        print(index.feasible(q).value)
+    verdicts = index.feasible_many(_load_queries(args.queries))
+    sys.stdout.write("".join(f"{v.value}\n" for v in verdicts))
     return 0
 
 

@@ -8,16 +8,27 @@ from the partition and replays them into a persistent DSU in descending
 capacity order, so the component structure at timestamp k reflects exactly
 the k widest links; a build and a load (store) construct it the same way
 from obstacles, edges and partition.  The stages hand on int64 columns
-(candidate pairs, GapEdges, (m, 3) links) and share one grid.
-A query checks each placement against the partition's wall cells (every
-obstacle side is a grid line, so the open body meets an obstacle exactly
-when a cell under it is a wall), locates both endpoints, which reads their
+(candidate pairs, GapEdges, (m, 3) links).
+
+A query checks each placement, locates both endpoints, which reads their
 union-graph node ids straight off the partition (a point inside a sealed
 gap rectangle lands on the seal's own node), binary-searches the last
 timestamp whose capacity still admits the robot (d <= capacity passes),
-and asks the DSU.  A placement reads the cells under the body: at most
-(2D + 1)^2 for a side-D robot on integer coordinates, whatever n is; on
-general-position worlds, more as the robot's share of the span grows.
+and asks the DSU.  There are two paths with the same verdicts:
+
+- feasible() answers one query in plain Python.  Its placement check reads
+  the partition's wall cells under the body (every obstacle side is a grid
+  line, so the open body meets an obstacle exactly when a cell under it is
+  a wall): at most (2D + 1)^2 cells for a side-D robot on integer
+  coordinates, whatever n is, and more on general-position worlds as the
+  robot's share of the span grows.
+- feasible_many() answers a batch on int64 columns.  Its placement check
+  is sweep.ObstacleCounter, O(log n) numpy work per body whatever its
+  width; point location, the threshold search and the DSU walk are
+  vectorised too, and only the rare straddling placements take the scalar
+  remap.  Each call also copies the DSU and the capacity timeline into
+  arrays, so on the benchmark worlds a batch is faster than feasible()
+  only from about a hundred queries on.
 """
 
 from __future__ import annotations
@@ -25,11 +36,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .dsu import PersistentDsu
-from .geometry import Obstacle, ingest_world
+from .geometry import COORD_LIMIT, Obstacle, ingest_world
 from .partition import (
     WALL_CELL,
     RegionPartition,
@@ -38,7 +50,13 @@ from .partition import (
     node_capacities,
     seal_links,
 )
-from .sweep import GapEdges, build_candidates, columns, relevance_filter
+from .sweep import (
+    GapEdges,
+    ObstacleCounter,
+    build_candidates,
+    columns,
+    relevance_filter,
+)
 
 
 class Verdict(Enum):
@@ -49,6 +67,10 @@ class Verdict(Enum):
 
     def __str__(self) -> str:  # CLI prints verdicts bare
         return self.value
+
+
+#: Verdicts by the codes feasible_many assigns.
+_VERDICTS = (Verdict.FEASIBLE, Verdict.INFEASIBLE, Verdict.INVALID_START, Verdict.INVALID_GOAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,20 +173,80 @@ class FeasibilityIndex:
     def feasible(self, q: Query) -> Verdict:
         return self.feasible_with_stats(q)[0]
 
+    # -- batches ---------------------------------------------------------------
+
+    @cached_property
+    def _counter(self) -> ObstacleCounter:
+        """The batch placement check, built on the first batch: a load never
+        pays for it."""
+        return ObstacleCounter(columns(self.obstacles)[1])
+
+    def _nodes_many(self, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """region_of for the placements at the int64 (2, m) points p with
+        sides d, as int64 node ids, WALL_CELL where a placement collides.
+
+        One ObstacleCounter.meets call checks every open body; the grid's
+        cell rule, with searchsorted, locates the free ones.  A free
+        placement in a seal narrower than d goes to _straddling_node."""
+        h = d // 2
+        free = self._counter.meets(np.concatenate([p - h, p + h])) == 0
+        part = self.partition
+        cells = []
+        for coords, v in zip((part.grid.xs, part.grid.ys), p):
+            lines = np.asarray(coords)
+            cell = np.searchsorted(lines, v, "left") + np.searchsorted(lines, v, "right") - 1
+            cells.append(np.clip(cell, 0, 2 * len(lines) - 2))
+        located = part.labels[tuple(cells)]
+        if (free & (located == WALL_CELL)).any():
+            raise AssertionError("free placement located inside an obstacle")
+        node = np.where(free, located, WALL_CELL).astype(np.int64)
+        for k in np.flatnonzero(free & (d > self._node_caps[node])).tolist():
+            x, y = p[:, k].tolist()
+            node[k] = self._straddling_node((x, y), int(d[k]), int(node[k]))
+        return node
+
+    def feasible_many(self, queries: list[Query]) -> list[Verdict]:
+        """feasible() of every query, answered together on int64 columns:
+        one obstacle count for every start and goal body, point location by
+        searchsorted, one threshold searchsorted, and one lock-step DSU walk
+        (PersistentDsu.connected_many).  A batch with a value beyond
+        2 * COORD_LIMIT half-units, where int64 arithmetic could wrap, takes
+        the scalar path.  For a few queries feasible() is faster."""
+        limit = 2 * COORD_LIMIT
+        try:
+            cols = np.array([(*q.s, *q.t, q.d) for q in queries], dtype=np.int64)
+            wide = ((cols < -limit) | (cols > limit)).any()
+        except OverflowError:  # beyond int64
+            wide = True
+        if wide:
+            return [self.feasible(q) for q in queries]
+        sx, sy, tx, ty, d = cols.reshape(-1, 5).T
+        m = len(d)
+        p = np.stack([np.concatenate([sx, tx]), np.concatenate([sy, ty])])
+        node = self._nodes_many(p, np.concatenate([d, d]))
+        u, v = node[:m], node[m:]
+        # Indices into _VERDICTS: FEASIBLE unless an endpoint collides
+        # (the start first) or the DSU says otherwise.
+        code = np.where(u == WALL_CELL, 2, np.where(v == WALL_CELL, 3, 0))
+        ask = np.flatnonzero((code == 0) & (u != v))
+        neg_caps = np.asarray(self._neg_caps, dtype=np.int64)
+        t = np.searchsorted(neg_caps, -d[ask], "right")
+        ok = self.dsu.connected_many(u[ask], v[ask], t)[0]
+        code[ask[~ok]] = 1
+        return [_VERDICTS[c] for c in code.tolist()]
+
 
 def preprocess(obstacles: list[Obstacle]) -> FeasibilityIndex:
     """Build the full index: edges, partition, then (in the index) links
-    and union timeline.  The grid is made once and shared by the filter
-    and the partition."""
+    and union timeline."""
     rects = columns(obstacles)[1]
-    grid = build_grid(rects)
     candidates = build_candidates(obstacles)
-    edges = relevance_filter(candidates, rects, grid)
+    edges = relevance_filter(candidates, rects)
     return FeasibilityIndex(
         obstacles=obstacles,
         edges=edges,
         candidate_count=len(candidates),
-        partition=build_partition(rects, edges, grid),
+        partition=build_partition(rects, edges, build_grid(rects)),
     )
 
 

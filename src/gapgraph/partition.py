@@ -18,15 +18,17 @@ lines, L(v) = bisect_left(C, v) and R(v) = bisect_right(C, v):
 
 A point beyond a sentinel line clamps onto the ring, which always belongs
 to the unbounded region (RegionPartition.locate).  An open block wholly
-beyond a sentinel line is empty.  The build applies the rule as one
-searchsorted per side over (4, m) rect rows (DoubledGrid.closed and open);
-a query applies it with bisect (DoubledGrid.cell and body).  Since every
-obstacle side is a grid line, each cell lies wholly inside or wholly
-outside each closed obstacle (wall_cells): an open rectangle meets an
-obstacle exactly when one of the cells it meets is a wall, and an empty
-block meets none.  One such test answers both the placement check (the open
-square of side d at p, DoubledGrid.body) and pathway clearance in the
-relevance filter (DoubledGrid.open).  The straddling remap
+beyond a sentinel line is empty.  The build applies the closed rule as one
+searchsorted per side over (4, m) rect rows (DoubledGrid.closed); a query
+applies the point and open rules with bisect (DoubledGrid.cell and body),
+and the batch path (FeasibilityIndex.feasible_many) applies the point rule
+with searchsorted.  Since every obstacle side is a grid line, each cell
+lies wholly inside or wholly outside each closed obstacle (wall_cells): an
+open rectangle meets an obstacle exactly when one of the cells it meets is
+a wall, and an empty block meets none.  The scalar placement check reads
+the cells under the open square of side d at p (DoubledGrid.body) that
+way; pathway clearance and batched placements count obstacles without the
+grid (sweep.ObstacleCounter).  The straddling remap
 (FeasibilityIndex._straddling_node) reads a body only when p lies in a
 seal, so that body holds p's own cell and is never empty.
 
@@ -88,16 +90,10 @@ class DoubledGrid:
             assert on_grid.all(), "coordinate not on grid"
         return np.concatenate([2 * start, 2 * stop - 1])
 
-    def open(self, rects: np.ndarray) -> np.ndarray:
-        """Cell blocks, as closed gives them, that the open rectangles in
-        the int64 (4, m) rect rows meet; a stop may pass the grid's edge,
-        which slicing ignores."""
-        start, stop = self._cuts(rects[:2], "right"), self._cuts(rects[2:], "left")
-        return np.concatenate([np.maximum(2 * start - 1, 0), 2 * stop])
-
     def body(self, p: tuple[int, int], d: int) -> tuple[slice, slice]:
-        """Cells that the open square of side d centred at p meets: open's
-        rule, with bisect, since this runs twice in every query."""
+        """Cells that the open square of side d centred at p meets, by the
+        open rule with bisect, since this runs twice in every query; a stop
+        may pass the grid's edge, which slicing ignores."""
         h = d // 2
         (x, y), xs, ys = p, self.xs, self.ys
         return (
@@ -197,7 +193,7 @@ def seal_links(part: RegionPartition, edges: GapEdges) -> np.ndarray:
     other overlaps both at once, so both capacities bound it.  Seals whose gap
     rectangles meet only at a corner point do not link; a point contact can
     pinch the robot.  Regions never touch each other, so every link ends at
-    a seal node.
+    a seal node; labels in which two regions touch raise ValueError.
 
     Neighbour pairs are compared _LINK_BLOCK_ROWS rows at a time, so no
     temporary grows with the whole grid.
@@ -215,6 +211,10 @@ def seal_links(part: RegionPartition, edges: GapEdges) -> np.ndarray:
             key = np.minimum(u, v).astype(np.int64) * nodes + np.maximum(u, v)
             keys.append(sorted_unique(key))
     a, b = np.divmod(sorted_unique(np.concatenate(keys)), nodes)
+    touching = np.flatnonzero(b < rc)
+    if touching.size:  # only forged labels (store) get here
+        k = touching[0]
+        raise ValueError(f"regions {a[k]} and {b[k]} touch")
 
     ra, rb = edges.rect[:, np.maximum(a - rc, 0)], edges.rect[:, b - rc]  # b is a seal
     ox = np.minimum(ra[2], rb[2]) - np.maximum(ra[0], rb[0])

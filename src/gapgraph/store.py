@@ -15,7 +15,8 @@ or out of range or has no passage, label runs that do not exactly cover the
 grid, more regions than label runs (a region owns at least one; the bound
 also keeps node ids within int32), a region that labels no run, a label
 that names no node, wall labels on any cell but the obstacles' own
-(wall_cells), and any line after the region count.  A reloaded index
+(wall_cells), labels in which two regions touch (seal_links, as the index
+derives its links), and any line after the region count.  A reloaded index
 answers every query exactly like the original.  The text is deterministic
 for a given index.  Files of earlier versions are rejected.
 """

@@ -32,14 +32,16 @@ follows the pairs it emits.
 A candidate pair survives as an edge only if it has a passage (capacity >
 0) and no third obstacle intersects the open interior of its minimum
 pathway: the corridor between the pair, extended along the passage axis far
-enough for a maximum-size robot to enter and leave completely.  That test
-is the one the placement check uses: an open rectangle meets an obstacle
-exactly when one of the doubled grid's cells under it is a wall
-(partition.wall_cells, DoubledGrid.open).  Pairs that overlap or touch have
-no gap; their contact lies inside both obstacles, which the partition walls
-off anyway, so they are dropped.  Boundary contact does not kill an edge
-(open robot, closed obstacles), so exactly aligned worlds can keep
-overlapping corridor seals whose abstract center segments cross; the
+enough for a maximum-size robot to enter and leave completely.
+ObstacleCounter answers that test for a block of pathways at once, without
+the partition's grid: it counts the obstacles each open rectangle meets,
+by inclusion-exclusion over four merge-sort trees that share _FitTree's
+stable split (_cascade).  The index's batch placement check
+(FeasibilityIndex.feasible_many) uses the same counter.  Pairs that overlap
+or touch have no gap; their contact lies inside both obstacles, which the
+partition walls off anyway, so they are dropped.  Boundary contact does not
+kill an edge (open robot, closed obstacles), so exactly aligned worlds can
+keep overlapping corridor seals whose abstract center segments cross; the
 partition is indifferent to that.
 
 A pair's capacity, gap rectangle and minimum pathway have one formula,
@@ -56,12 +58,13 @@ COORD_LIMIT doubled), so x1 + y2 and every pathway end stay below 2**63.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SYMMETRIES, Obstacle, Symmetry
-from .partition import DoubledGrid, sorted_unique, wall_cells
+from .partition import sorted_unique
 
 #: Candidates whose pathways relevance_filter computes at once.
 _FILTER_BLOCK = 4096
@@ -113,19 +116,55 @@ def gap_edges(pairs: np.ndarray, rects: np.ndarray) -> GapEdges:
     return GapEdges(pairs, s, rect)
 
 
+def _cascade(
+    rank: np.ndarray, pad: int, size: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """The stable split of a static merge-sort tree over `size` padded
+    positions, the structure fractional cascading walks (de Berg et al.,
+    *Computational Geometry*, ch. 5): (level, order, lefts) from the root
+    level down to level 0.
+
+    Level l splits the positions into nodes of 2**l, and `order` lists each
+    node's positions sorted by (rank, position); padding has rank `pad` and
+    sorts last.  For levels >= 1, `lefts` counts, over the level's order,
+    the entries that came from the left child (None at level 0).  A node
+    starting at `base` holds exactly half of its entries from its left
+    child, so of its first c entries lefts[base + c] - base // 2 came from
+    there: a child's c follows from its parent's in one lookup.  Positions,
+    ranks and counts are int32, which halves the memory walks stream
+    through.
+    """
+    depth = (size - 1).bit_length()
+    padded = np.full(size, pad, dtype=np.int32)
+    padded[: len(rank)] = rank
+    # The root holds every position by (rank, position); each level splits
+    # its nodes stably into their two children for the next.
+    order = np.argsort(padded, kind="stable").astype(np.int32)
+    index = np.arange(size, dtype=np.int32)
+    for level in range(depth, 0, -1):
+        node = order >> level
+        half = 1 << (level - 1)
+        from_left = order & half == 0
+        lefts = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(from_left, out=lefts[1:])
+        yield level, order, lefts
+        left_rank = lefts[:-1] - node * half
+        dest = np.where(from_left, (node << level) + left_rank, index + half - left_rank)
+        child = np.empty_like(order)
+        child[dest] = order
+        order = child
+    yield 0, order, None
+
+
 class _FitTree:
     """Static merge-sort tree over the anchor order for the three-sided
     query "first position >= k with y1 rank <= y and (x1 + y2) rank >= t".
 
-    Level l splits the padded positions into nodes of 2**l, each keeping
-    its entries sorted by (y1 rank, position).  Beside that order a level
-    keeps the running maximum of the (x1 + y2) ranks within each node
-    (pmax), so a node holding c entries of y1 rank <= y has a hit when pmax
-    at its c-th entry reaches t, and the count of entries that came from
-    the left child (lefts), so a child's c follows from its parent's in one
-    lookup.  Padding sorts last and has (x1 + y2) rank -1, so it never hits.
-    Positions, ranks and counts are int32, which halves the memory the
-    walks stream through.
+    The cascade (_cascade) orders each node's entries by y1 rank.  Beside
+    that order a level keeps the running maximum of the (x1 + y2) ranks
+    within each node (pmax), so a node holding c entries of y1 rank <= y
+    has a hit when pmax at its c-th entry reaches t.  Padding has (x1 + y2)
+    rank -1, so it never hits.
     """
 
     def __init__(self, yrank: np.ndarray, srank: np.ndarray, ny: int):
@@ -133,34 +172,15 @@ class _FitTree:
         self.size = size = 1 << (n - 1).bit_length()
         self.depth = (size - 1).bit_length()
         self.ys = np.sort(yrank)
-        yr = np.full(size, ny, dtype=np.int32)
         sr = np.full(size, -1, dtype=np.int32)
-        yr[:n], sr[:n] = yrank, srank
-        # The root holds every position by (y1 rank, position); each level
-        # splits its nodes stably into their two children for the next.
-        order = np.argsort(yr, kind="stable").astype(np.int32)
-        index = np.arange(size, dtype=np.int32)
+        sr[:n] = srank
         self.pmax: dict[int, np.ndarray] = {}
         self.lefts: dict[int, np.ndarray] = {}  # levels >= 1
-        for level in range(self.depth, -1, -1):
+        for level, order, lefts in _cascade(yrank, ny, size):
             nodes = sr[order].reshape(-1, 1 << level)  # one row per node
             self.pmax[level] = np.maximum.accumulate(nodes, axis=1).ravel()
-            if level == 0:
-                break
-            node = order >> level
-            half = 1 << (level - 1)
-            from_left = order & half == 0
-            lefts = np.zeros(size + 1, dtype=np.int32)
-            np.cumsum(from_left, out=lefts[1:])
-            self.lefts[level] = lefts
-            # Each node holds exactly `half` entries from its left child.
-            left_rank = lefts[:-1] - node * half
-            dest = np.where(
-                from_left, (node << level) + left_rank, index + half - left_rank
-            )
-            child = np.empty_like(order)
-            child[dest] = order
-            order = child
+            if lefts is not None:
+                self.lefts[level] = lefts
 
     def first(self, k: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Per query, the first hit at position >= k, or size when none.
@@ -204,6 +224,80 @@ class _FitTree:
             c[:m] = np.where(left, cl, c[:m] - cl)
         at[q] = node
         return at
+
+
+class ObstacleCounter:
+    """Counts, for many open rectangles at once, the closed obstacles of the
+    int64 (4, n) rect rows that each one meets.
+
+    An open rectangle q misses a closed obstacle o exactly when o lies
+    wholly left of it (o.x2 <= q.x1), right of it (o.x1 >= q.x2), below it
+    (o.y2 <= q.y1) or above it (o.y1 >= q.y2).  When obstacles and
+    rectangles all have positive widths and heights, left and right exclude
+    each other, and so do below and above, so q meets
+
+        n - L - R - B - A + LB + LA + RB + RA
+
+    obstacles.  L, R, B and A take one searchsorted each.  A corner term is
+    a 2-D dominance count: LB counts the obstacles that are both among the
+    first L by x2 and among the first B by y2.  One cascade (_cascade) per
+    corner takes the obstacles by x2 (L) or by x1 descending (R) as its
+    positions and ranks them by y2 (B) or by y1 descending (A), so a corner
+    term is the number of entries at positions < k of rank < c, with the
+    side counts as (k, c).  One walk from the root towards leaf k adds up
+    the left children it passes, one gather per level.  The four cascades
+    are the four quarters of one over 4 * size positions, so a single walk
+    serves all four corners.
+    """
+
+    def __init__(self, rects: np.ndarray):
+        x1, y1, x2, y2 = rects
+        assert (x1 < x2).all() and (y1 < y2).all(), "obstacle of zero width or height"
+        self.n = n = len(x1)
+        self.size = size = 1 << n.bit_length()  # > n: leaf k = n exists
+        self.depth = (size - 1).bit_length()
+        self._sides = np.sort(x2), np.sort(x1), np.sort(y2), np.sort(y1)
+
+        def place(key: np.ndarray) -> np.ndarray:
+            at = np.empty(n, dtype=np.int32)
+            at[np.argsort(key, kind="stable")] = np.arange(n, dtype=np.int32)
+            return at
+
+        below, above = place(y2), place(-y1)
+        by_x2, by_x1 = np.argsort(x2, kind="stable"), np.argsort(-x1, kind="stable")
+        rank = np.full(4 * size, n, dtype=np.int32)
+        corners = ((by_x2, below), (by_x2, above), (by_x1, below), (by_x1, above))
+        for j, (by, ranks) in enumerate(corners):
+            rank[j * size : j * size + n] = ranks[by]
+        # The two levels above `depth` only join the quarters.
+        self.lefts = {
+            level: lefts
+            for level, _, lefts in _cascade(rank, n, 4 * size)
+            if 0 < level <= self.depth
+        }
+
+    def meets(self, rects: np.ndarray) -> np.ndarray:
+        """Per open rectangle of the int64 (4, m) rect rows, the number of
+        obstacles it meets."""
+        a1, b1, a2, b2 = rects
+        assert (a1 < a2).all() and (b1 < b2).all(), "rectangle of zero width or height"
+        n, size = self.n, self.size
+        x2, x1, y2, y1 = self._sides
+        left = np.searchsorted(x2, a1, "right")
+        right = n - np.searchsorted(x1, a2, "left")
+        below = np.searchsorted(y2, b1, "right")
+        above = n - np.searchsorted(y1, b2, "left")
+        k = np.concatenate([left, left + size, right + 2 * size, right + 3 * size])
+        c = np.concatenate([below, above, below, above])
+        corner = np.zeros_like(k)
+        for level in range(self.depth, 0, -1):
+            base = k & -(1 << level)  # start of the node on the path to leaf k
+            cl = self.lefts[level][base + c] - (base >> 1)
+            turn = (k >> (level - 1)) & 1  # right: the left child precedes k
+            corner += turn * cl
+            c = np.where(turn, c - cl, cl)
+        corners = corner.reshape(4, -1).sum(axis=0)
+        return n - left - right - below - above + corners
 
 
 def _sweep_pass(
@@ -302,38 +396,26 @@ def build_candidates(obstacles: list[Obstacle]) -> np.ndarray:
     return np.column_stack(np.divmod(sorted_unique(np.concatenate(keys)), m))
 
 
-def relevance_filter(
-    candidates: np.ndarray, rects: np.ndarray, grid: DoubledGrid
-) -> GapEdges:
+def relevance_filter(candidates: np.ndarray, rects: np.ndarray) -> GapEdges:
     """Gap edges, in candidate order, of the int64 (m, 2) candidate pairs
     that have a passage and whose open pathway interior is obstacle-free,
-    over the obstacles' (4, n) rect rows and their grid (build_grid).
+    over the obstacles' (4, n) rect rows.
 
     Gaps and pathways are computed as int64 columns, _FILTER_BLOCK
-    candidates at a time; only the passable ones are tested and only the
-    kept ones go to gap_edges.  Clearance is read off the doubled grid's
-    wall cells, the test the index's placement check uses: every obstacle
-    side is a grid line and a pair's own obstacles lie outside its
-    pathway's open interior, so a pathway is clear exactly when no cell it
-    meets is a wall.  One DoubledGrid.open call per block gives the cell
-    blocks of all its passable pathways; then each block's walls are read
-    in turn.  The cost is Theta(grid cells), like build_partition: the wall
-    mask, then the blocks under the pathways, which on general-position
-    worlds (perfbench sparse_world, n = 500-3000) add up to about 17 times
-    the grid's cell count.
+    candidates at a time; one ObstacleCounter.meets call per block counts
+    the obstacles that meet each passable pathway.  A pair's own obstacles
+    never reach into its pathway's open interior, so a pathway is clear
+    exactly when its count is 0.  Nothing is allocated per grid cell: the
+    counter takes O(n log n) to build and O(log n) numpy passes per block.
     """
-    walls = wall_cells(grid, rects)
-    kept: list[int] = []
+    counter = ObstacleCounter(rects)
+    kept = [np.empty(0, dtype=np.int64)]
     # A block at a time: the columns and rows of every candidate at once
     # were the largest allocation of a lattice world's build.
     for start in range(0, len(candidates), _FILTER_BLOCK):
         block = candidates[start : start + _FILTER_BLOCK]
         s, _, pathway = pathways(rects[:, block[:, 0]], rects[:, block[:, 1]])
         passable = np.flatnonzero(s > 0)
-        cells = grid.open(pathway[:, passable]).T.tolist()
-        kept += [
-            start + k
-            for k, (x0, y0, x1, y1) in zip(passable.tolist(), cells)
-            if not walls[x0:x1, y0:y1].any()
-        ]
-    return gap_edges(candidates[kept], rects)
+        clear = counter.meets(pathway[:, passable]) == 0
+        kept.append(start + passable[clear])
+    return gap_edges(candidates[np.concatenate(kept)], rects)

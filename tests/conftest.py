@@ -88,8 +88,7 @@ def edges_of(obstacles: list[Obstacle], pairs) -> GapEdges:
 def build_gap_edges(obstacles: list[Obstacle]) -> GapEdges:
     """The build's edge stages alone: sweep candidates, then relevance
     filtering."""
-    rects = columns(obstacles)[1]
-    return relevance_filter(build_candidates(obstacles), rects, build_grid(rects))
+    return relevance_filter(build_candidates(obstacles), columns(obstacles)[1])
 
 
 def partition_of(obstacles: list[Obstacle], edges: GapEdges) -> RegionPartition:

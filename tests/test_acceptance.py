@@ -62,11 +62,13 @@ def test_acceptance_01_oracle_equivalence():
     for kind, n, seed in _generated_worlds(2100, 60):
         obstacles = ingest_world(world_shapes(kind, n, seed))
         index = preprocess(obstacles)
-        for q in _random_queries(rng, obstacles, 20):
-            assert index.feasible(q) == oracle_feasible(
-                obstacles, q.s, q.t, q.d
-            ), (kind, n, seed, q)
+        batch = list(_random_queries(rng, obstacles, 20))
+        verdicts = [index.feasible(q) for q in batch]
+        for q, verdict in zip(batch, verdicts):
+            assert verdict == oracle_feasible(obstacles, q.s, q.t, q.d), (kind, n, seed, q)
             queries += 1
+        # The batch path answers the same 20 queries in one call.
+        assert index.feasible_many(batch) == verdicts, (kind, n, seed)
         worlds += 1
     assert worlds >= 2000
     print(f"ACCEPTANCE 1 oracle equivalence: PASS ({worlds} worlds, {queries} queries)")

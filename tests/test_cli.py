@@ -5,6 +5,7 @@ import pytest
 
 from gapgraph.cli import main
 from gapgraph.engine import Query
+from gapgraph.store import load_index
 from gapgraph.worldgen import gen_world, world_shapes
 from gapgraph.worldio import (
     format_queries,
@@ -211,6 +212,29 @@ class TestCli:
         assert main(["query", str(idx), str(queries)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["FEASIBLE", "INFEASIBLE", "INVALID_START", "FEASIBLE"]
+
+    def test_query_prints_each_scalar_verdict_on_its_own_line(self, tmp_path, capsys):
+        # The bytes that print(index.feasible(q).value) per query gave; an
+        # empty query file prints nothing.
+        world = tmp_path / "maze.txt"
+        world.write_text(gen_world("maze", 60, 5))
+        idx = tmp_path / "maze.idx"
+        assert main(["build", str(world), "-o", str(idx)]) == 0
+        rng = random.Random(57)
+        text = format_queries(
+            [(*(rng.randint(-5, 45) for _ in range(4)), rng.randint(1, 4)) for _ in range(300)]
+        )
+        queries = tmp_path / "q.txt"
+        queries.write_text(text)
+        index = load_index(str(idx))
+        want = "".join(f"{index.feasible(q).value}\n" for q in parse_queries(text))
+        assert len(set(want.split())) == 4  # every kind of verdict
+        capsys.readouterr()
+        assert main(["query", str(idx), str(queries)]) == 0
+        assert capsys.readouterr().out == want
+        queries.write_text("# gapgraph queries v1\n")
+        assert main(["query", str(idx), str(queries)]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_gen_writes_file(self, tmp_path):
         out = tmp_path / "w.txt"

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gapgraph.dsu import PersistentDsu
@@ -113,3 +114,29 @@ def test_storage_is_one_link_per_node():
         dsu.union(k % 50, (3 * k + 1) % 50)
     assert len(dsu._parent) == 50
     assert len(dsu._link_time) == 50
+
+
+def test_connected_many_equals_connected_with_hops():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 80)
+        dsu = PersistentDsu(n)
+        for _ in range(rng.randint(0, 2 * n)):
+            dsu.union(rng.randrange(n), rng.randrange(n))
+        m = rng.randint(0, 50)
+        u, v = ([rng.randrange(n) for _ in range(m)] for _ in range(2))
+        t = [rng.randint(0, dsu_time(dsu)) for _ in range(m)]
+        ok, hops = dsu.connected_many(np.array(u), np.array(v), np.array(t))
+        assert ok.dtype == bool and ok.shape == hops.shape == (m,)
+        want = [dsu.connected_with_hops(*q) for q in zip(u, v, t)]
+        assert list(zip(ok.tolist(), hops.tolist())) == want
+
+
+def test_connected_many_rejects_what_connected_with_hops_rejects():
+    dsu = PersistentDsu(3)
+    dsu.union(0, 1)
+    for u, v, t in [(0, 3, 1), (-1, 0, 1), (0, 1, 2), (0, 1, -1)]:
+        with pytest.raises(ValueError):
+            dsu.connected_with_hops(u, v, t)
+        with pytest.raises(ValueError):
+            dsu.connected_many(np.array([0, u]), np.array([1, v]), np.array([1, t]))

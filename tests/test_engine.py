@@ -375,3 +375,70 @@ def test_known_wrong_verdicts_match_oracle(boxes, query):
     s, t = (2 * sx, 2 * sy), (2 * tx, 2 * ty)
     verdict = preprocess(obstacles).feasible(Query(s, t, 2 * d))
     assert verdict == oracle_feasible(obstacles, s, t, 2 * d)
+
+
+class TestFeasibleMany:
+    """The batch path gives feasible()'s verdict on every query."""
+
+    @pytest.mark.parametrize("probe", [CLUSTER_PROBE, SPARSE_PROBE], ids=["cluster", "sparse"])
+    def test_equals_scalar_on_probe_worlds(self, probe):
+        # Wrong verdicts included: the batch reproduces the scalar path,
+        # also where both start inside a sealed gap rectangle.
+        boxes, probe_queries = probe
+        idx = preprocess(ingest_world([("rect", box) for box in boxes]))
+        queries = [
+            Query((2 * sx, 2 * sy), (2 * tx, 2 * ty), 2 * d) for sx, sy, tx, ty, d in probe_queries
+        ]
+        rng = random.Random(55)
+        xs, ys = idx.partition.grid.xs, idx.partition.grid.ys
+        side = queries[0].d
+        for _ in range(300):
+            s, t = ((rng.randint(xs[0], xs[-1]), rng.randint(ys[0], ys[-1])) for _ in range(2))
+            queries.append(Query(s, t, rng.choice((2, side, 2 * side))))
+        assert idx.feasible_many(queries) == [idx.feasible(q) for q in queries]
+
+    def test_equals_scalar_on_straddling_endpoints(self):
+        # Centres inside a seal narrower than the robot, bodies free: the
+        # batch sends these to the scalar remap.
+        rng = random.Random(56)
+        straddles = 0
+        for _ in range(150):
+            idx = _general_position_index(rng)
+            rc = idx.partition.region_count
+            queries = []
+            for *_, r in edge_rows(idx.edges):
+                for _ in range(10):
+                    p = (rng.randint(r.x1, r.x2), rng.randint(r.y1, r.y2))
+                    seal = idx.partition.locate(p)
+                    if seal < rc:
+                        continue
+                    d = 2 * (int(idx.edges.capacity[seal - rc]) // 2 + rng.randint(1, 4))
+                    straddles += idx.placement_free(p, d)
+                    t = (rng.randint(-4, 60), rng.randint(-4, 60))
+                    queries += [Query(p, t, d), Query(t, p, d)]
+            assert idx.feasible_many(queries) == [idx.feasible(q) for q in queries]
+        assert straddles >= 50
+
+    def test_empty_batch_and_empty_world(self):
+        assert build_index(ROOM).feasible_many([]) == []
+        idx = build_index([])
+        assert idx.feasible_many([]) == []
+        queries = [Query((0, 0), (500, -500), 2), Query((-9, 3), (-9, 3), 40)]
+        assert idx.feasible_many(queries) == [Verdict.FEASIBLE] * 2
+
+    def test_room_verdicts_and_values_beyond_int64(self):
+        idx = build_index(ROOM)
+        inside, outside = (10, 10), (30, 10)
+        queries = [
+            Query(inside, outside, 8),
+            Query(inside, outside, 10),
+            Query((1, 1), outside, 2),
+            Query(outside, (1, 1), 2),
+            Query((1, 1), (1, 1), 2),
+            Query(inside, (12, 12), 2),
+        ]
+        want = ["FEASIBLE", "INFEASIBLE", "INVALID_START", "INVALID_GOAL", "INVALID_START"]
+        assert [v.value for v in idx.feasible_many(queries)] == [*want, "FEASIBLE"]
+        # Beyond int64 the whole batch takes the scalar path.
+        far = [*queries, Query((2**70, 0), outside, 2), Query(inside, outside, 2**64)]
+        assert idx.feasible_many(far) == [idx.feasible(q) for q in far]

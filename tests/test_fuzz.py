@@ -1,16 +1,15 @@
 """Property-based fuzzing: malformed text and out-of-domain coordinates end
 in ValueError (a clean exit-1 message in the CLI), never in another
-exception; the grid's open-box wall test, alone and as the index's
-placement check, equals the obstacle scan."""
+exception; the index's grid placement check and the obstacle counter each
+equal the obstacle scan."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapgraph.engine import build_index
-from gapgraph.geometry import COORD_LIMIT, Rect, ingest_world, placement_free
-from gapgraph.partition import build_grid, wall_cells
-from gapgraph.sweep import columns
+from gapgraph.geometry import COORD_LIMIT, ingest_world, placement_free
+from gapgraph.sweep import ObstacleCounter, columns
 from gapgraph.worldio import parse_queries, parse_world
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -94,23 +93,33 @@ def test_grid_placement_check_equals_obstacle_scan(boxes, points, half_side):
         max_size=20,
     ),
 )
-# One box of half-units (0, 0)-(2, 2), sentinels at -2 and 4: a rectangle
-# that ends on the bottom x sentinel line, one that spans the grid, and one
-# wholly beyond the top sentinel lines.
+# One box of half-units (0, 0)-(2, 2): a rectangle that ends 2 half-units
+# left of it, one that spans it, and one wholly above and right of it.
 @example([(0, 0, 1, 1)], [((-30, 1), 28, 2), ((-30, -30), 40, 40), ((5, 6), 3, 1)])
-def test_grid_box_wall_check_equals_obstacle_scan(boxes, corners_and_sizes):
-    """Open rectangles of independent width and height, corners on odd and
-    even half-units, reaching beyond the sentinels, all in one call of
-    DoubledGrid.open, as the relevance filter makes it."""
+@example([], [((0, 0), 1, 1), ((-30, -30), 40, 40)])  # no obstacles
+# Boxes that touch along a side and at a corner, one nested in another, two
+# crossing in a plus, tied coordinates throughout; rectangles that touch
+# them, sit inside them or cross them.
+@example(
+    [(0, 0, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1), (-3, -3, 6, 6), (-2, 0, 5, 1), (0, -2, 1, 5)],
+    [
+        ((0, 0), 2, 2),
+        ((2, 2), 2, 2),
+        ((-1, 1), 2, 1),
+        ((4, 4), 1, 1),
+        ((-6, -6), 1, 1),
+        ((-30, 0), 60, 1),
+    ],
+)
+def test_obstacle_counter_equals_obstacle_scan(boxes, corners_and_sizes):
+    """The number of obstacles each open rectangle meets, from one
+    ObstacleCounter.meets call as the relevance filter and the batch
+    placement check make it, equals a scan of every obstacle: rectangles of
+    independent width and height, corners on odd and even half-units,
+    reaching beyond the extremes."""
     obstacles = ingest_world([("rect", (x, y, x + w, y + h)) for x, y, w, h in boxes])
-    rects = columns(obstacles)[1]
-    grid = build_grid(rects)
-    walls = wall_cells(grid, rects)
     opened = np.array([(x, y, x + w, y + h) for (x, y), w, h in corners_and_sizes]).T
-    for r, (x0, y0, x1, y1) in zip(opened.T.tolist(), grid.open(opened).T.tolist()):
-        r = Rect(*r)
-        hit = any(
-            o.x1 < r.x2 and o.x2 > r.x1 and o.y1 < r.y2 and o.y2 > r.y1
-            for o in obstacles
-        )
-        assert walls[x0:x1, y0:y1].any() == hit, r
+    counts = ObstacleCounter(columns(obstacles)[1]).meets(opened).tolist()
+    for (x1, y1, x2, y2), count in zip(opened.T.tolist(), counts):
+        scan = sum(o.x1 < x2 and o.x2 > x1 and o.y1 < y2 and o.y2 > y1 for o in obstacles)
+        assert count == scan, (x1, y1, x2, y2)

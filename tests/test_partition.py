@@ -73,8 +73,8 @@ class TestClosed:
     def test_matches_bisect_reference(self):
         # Obstacles, gap rectangles and random rectangles on grid lines
         # (sentinels included), on lattice and general-position worlds,
-        # the empty world and worlds without edges; then open rectangles
-        # and points anywhere, lo == hi included.
+        # the empty world and worlds without edges; then points and open
+        # intervals anywhere, lo == hi included.
         rng = random.Random(44)
         worlds = [[], *(random_obstacles(rng, 1) for _ in range(2))]
         worlds += [random_obstacles(rng, rng.randint(1, 14), span=10) for _ in range(40)]
@@ -98,31 +98,26 @@ class TestClosed:
                 for _ in range(30):
                     v = _near(rng, coords)
                     assert grid.cell(coords, v) == point_cell(coords, v), v
-            opened = []
+            # Open intervals, lo == hi included, as the body of a square
+            # centred on an integer: each axis of DoubledGrid.body alone.
             for _ in range(60):
-                (x1, x2), (y1, y2) = [sorted([_near(rng, c), _near(rng, c)]) for c in axes]
-                opened.append((x1, y1, x2, y2))
-            opened += [(x1, y1, x1, y1) for x1, y1, *_ in opened[:10]]  # lo == hi
-            opened = np.array(opened, dtype=np.int64).T
-            for box, r in zip(grid.open(opened).T.tolist(), opened.T.tolist()):
-                for axis, (coords, size) in enumerate(zip(axes, grid.shape)):
-                    lo, hi = r[axis], r[axis + 2]
-                    cells = range(*slice(box[axis], box[axis + 2]).indices(size))
+                for axis, coords in enumerate(axes):
+                    lo, hi = sorted([_near(rng, coords), _near(rng, coords)])
+                    hi = lo if rng.random() < 0.15 else hi + (hi - lo) % 2
+                    h = (hi - lo) // 2
+                    p = [rng.randint(-9, 9), rng.randint(-9, 9)]
+                    p[axis] = lo + h
+                    body = grid.body((p[0], p[1]), 2 * h)[axis]
+                    cells = range(*body.indices(grid.shape[axis]))
                     if hi < coords[0] or lo > coords[-1]:
                         # Wholly beyond a sentinel line: no cell, where
                         # the reference gives the ring cell.
-                        ring = 0 if hi < coords[0] else size - 1
+                        ring = 0 if hi < coords[0] else grid.shape[axis] - 1
                         assert not cells
                         assert open_span(coords, lo, hi) == range(ring, ring + 1)
                         beyond += 1
                     else:
                         assert cells == open_span(coords, lo, hi), (lo, hi)
-            for _ in range(20):
-                p, d = (_near(rng, grid.xs), _near(rng, grid.ys)), 2 * rng.randint(1, 6)
-                h = d // 2
-                square = np.array([[p[0] - h], [p[1] - h], [p[0] + h], [p[1] + h]])
-                x0, y0, x1, y1 = grid.open(square)[:, 0].tolist()
-                assert grid.body(p, d) == (slice(x0, x1), slice(y0, y1))
         assert edgeless >= 3
         assert beyond >= 100
 

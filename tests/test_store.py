@@ -1,8 +1,9 @@
 import random
 
 import numpy as np
+import pytest
 
-from gapgraph.engine import Query, build_index
+from gapgraph.engine import Query, Verdict, build_index
 from gapgraph.store import load_index, save_index
 
 from conftest import random_world
@@ -43,3 +44,20 @@ def test_serialization_is_deterministic(tmp_path):
     save_index(build_index(shapes), str(b))
     assert a.read_bytes() == b.read_bytes()
 
+
+
+def test_forged_labels_that_merge_two_regions_fail_to_load(tmp_path):
+    # A sealed room plus one gap edge outside it.  Giving the grid's corner
+    # cell the inside's region 1 makes the two regions touch; the links
+    # derived from such labels would join them at unbounded capacity.
+    room = [(0, 0, 10, 1), (0, 9, 10, 10), (0, 0, 1, 10), (9, 0, 10, 10)]
+    idx = build_index([("rect", box) for box in [*room, (20, 0, 21, 1), (23, 0, 24, 1)]])
+    sealed = Query((10, 10), (40, 40), 2)
+    assert idx.feasible(sealed) is Verdict.INFEASIBLE
+    path = tmp_path / "room.idx"
+    save_index(idx, str(path))
+    text = path.read_text()
+    assert " 28 0\nregions 2\n" in text
+    path.write_text(text.replace(" 28 0\nregions 2\n", " 27 0 1 1\nregions 2\n"))
+    with pytest.raises(ValueError, match="regions 0 and 1 touch"):
+        load_index(str(path))

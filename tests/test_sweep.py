@@ -15,7 +15,7 @@ from gapgraph.geometry import (
     ingest_world,
 )
 from gapgraph.oracle import minimum_pathway, oracle_feasible, oracle_relevant_edges
-from gapgraph.partition import WALL_CELL, build_grid
+from gapgraph.partition import WALL_CELL
 from gapgraph.sweep import build_candidates, columns, pathways, relevance_filter
 from gapgraph.worldgen import world_shapes
 
@@ -336,14 +336,14 @@ class TestRelevanceFilter:
     def test_collinear_middle_kills_long_edge(self):
         all_pairs = np.array([(0, 1), (0, 2), (1, 2)], dtype=np.int64)
         rects = columns(COLLINEAR)[1]
-        kept = set(_pairs(relevance_filter(all_pairs, rects, build_grid(rects)).pairs))
+        kept = set(_pairs(relevance_filter(all_pairs, rects).pairs))
         assert kept == {(0, 2), (1, 2)}
 
     def test_capacity_zero_pairs_dropped(self):
         touching = ingest_world([("rect", (0, 0, 1, 1)), ("rect", (1, 0, 2, 1))])
         rects = columns(touching)[1]
         pair = np.array([(0, 1)], dtype=np.int64)
-        assert len(relevance_filter(pair, rects, build_grid(rects))) == 0
+        assert len(relevance_filter(pair, rects)) == 0
         part = partition_of(touching, edges_of(touching, []))
         for y in (0, 1, 2):  # the whole contact segment is wall
             assert part.locate((2, y)) == WALL_CELL
