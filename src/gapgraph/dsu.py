@@ -21,6 +21,7 @@ class PersistentDsu:
         self._link_time = [0] * n
         self._rank = [0] * n
         self._time = 0
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None  # connected_many's
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -44,6 +45,7 @@ class PersistentDsu:
         """
         self._check_node(u)
         self._check_node(v)
+        self._arrays = None
         self._time += 1
         ru = self.find(u, self._time)[0]
         rv = self.find(v, self._time)[0]
@@ -76,7 +78,9 @@ class PersistentDsu:
         """connected_with_hops for every (u[k], v[k], t[k]) of equal-length
         int arrays, as a bool and an int64 array: the finds of all 2m
         endpoints walk in lock-step, one numpy pass per hop, so a batch
-        takes at most as many passes as the deepest find has hops."""
+        takes at most as many passes as the deepest find has hops.  The
+        parent and link-time lists are copied into arrays on the first batch
+        after a union, not on every batch."""
         u, v, t = (np.asarray(a, dtype=np.int64) for a in (u, v, t))
         for w in (u, v):
             bad = np.flatnonzero((w < 0) | (w >= self.n))
@@ -85,8 +89,12 @@ class PersistentDsu:
         bad = np.flatnonzero((t < 0) | (t > self._time))
         if bad.size:
             raise ValueError(f"timestamp {t[bad[0]]} out of range 0..{self._time}")
-        parent = np.array(self._parent, dtype=np.int64)
-        link_time = np.array(self._link_time, dtype=np.int64)
+        if self._arrays is None:
+            self._arrays = (
+                np.array(self._parent, dtype=np.int64),
+                np.array(self._link_time, dtype=np.int64),
+            )
+        parent, link_time = self._arrays
         at, until = np.concatenate([u, v]), np.concatenate([t, t])
         hops = np.zeros(len(at), dtype=np.int64)
         live = np.arange(len(at))

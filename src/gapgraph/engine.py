@@ -2,12 +2,14 @@
 
 Preprocessing runs the edge sweep, which keeps only passable gaps (pairs
 of obstacles that meet leave nothing to seal: walls cover their contact),
-and seals the gap rectangles into a region partition.  The index itself
-derives the capacity-weighted links of the region/seal adjacency graph
-from the partition and replays them into a persistent DSU in descending
-capacity order, so the component structure at timestamp k reflects exactly
-the k widest links; a build and a load (store) construct it the same way
-from obstacles, edges and partition.  The stages hand on int64 columns
+and seals the gap rectangles into a region partition, which is labelled
+and linked on its grid's column runs, not cell by cell (partition), and
+then fills the dense cell labels that the query path reads.  The index
+itself derives the capacity-weighted links of the region/seal adjacency
+graph from the partition's runs and replays them into a persistent DSU in
+descending capacity order, so the component structure at timestamp k
+reflects exactly the k widest links; a build and a load (store) construct
+it the same way from obstacles, edges and partition.  The stages hand on int64 columns
 (candidate pairs, GapEdges, (m, 3) links).
 
 A query checks each placement, locates both endpoints, which reads their
@@ -26,9 +28,8 @@ and asks the DSU.  There are two paths with the same verdicts:
   is sweep.ObstacleCounter, O(log n) numpy work per body whatever its
   width; point location, the threshold search and the DSU walk are
   vectorised too, and only the rare straddling placements take the scalar
-  remap.  Each call also copies the DSU and the capacity timeline into
-  arrays, so on the benchmark worlds a batch is faster than feasible()
-  only from about a hundred queries on.
+  remap.  The DSU and the capacity timeline are copied into arrays on
+  the first batch and kept for the next.
 """
 
 from __future__ import annotations
@@ -176,6 +177,11 @@ class FeasibilityIndex:
     # -- batches ---------------------------------------------------------------
 
     @cached_property
+    def _neg_cap_array(self) -> np.ndarray:
+        """_neg_caps as int64, for the batches' threshold search."""
+        return np.asarray(self._neg_caps, dtype=np.int64)
+
+    @cached_property
     def _counter(self) -> ObstacleCounter:
         """The batch placement check, built on the first batch: a load never
         pays for it."""
@@ -229,8 +235,7 @@ class FeasibilityIndex:
         # (the start first) or the DSU says otherwise.
         code = np.where(u == WALL_CELL, 2, np.where(v == WALL_CELL, 3, 0))
         ask = np.flatnonzero((code == 0) & (u != v))
-        neg_caps = np.asarray(self._neg_caps, dtype=np.int64)
-        t = np.searchsorted(neg_caps, -d[ask], "right")
+        t = np.searchsorted(self._neg_cap_array, -d[ask], "right")
         ok = self.dsu.connected_many(u[ask], v[ask], t)[0]
         code[ask[~ok]] = 1
         return [_VERDICTS[c] for c in code.tolist()]

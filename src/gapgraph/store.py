@@ -15,10 +15,13 @@ or out of range or has no passage, label runs that do not exactly cover the
 grid, more regions than label runs (a region owns at least one; the bound
 also keeps node ids within int32), a region that labels no run, a label
 that names no node, wall labels on any cell but the obstacles' own
-(wall_cells), labels in which two regions touch (seal_links, as the index
-derives its links), and any line after the region count.  A reloaded index
-answers every query exactly like the original.  The text is deterministic
-for a given index.  Files of earlier versions are rejected.
+(wall_runs), a seal label outside its gap rectangle's cells, labels in
+which two regions touch (seal_links, as the index derives its links), and
+any line after the region count.  The label checks read the column runs,
+which a load cuts from the file's runs rather than from the cells, and a
+save writes the labels from the same runs.  A reloaded index answers every
+query exactly like the original.  The text is deterministic for a given
+index.  Files of earlier versions are rejected.
 """
 
 from __future__ import annotations
@@ -27,32 +30,72 @@ import numpy as np
 
 from .engine import FeasibilityIndex
 from .geometry import COORD_LIMIT, Obstacle
-from .partition import WALL_CELL, RegionPartition, build_grid, wall_cells
-from .sweep import gap_edges
+from .partition import (
+    WALL_CELL,
+    DoubledGrid,
+    RegionPartition,
+    build_grid,
+    sorted_unique,
+    wall_runs,
+)
+from .sweep import GapEdges, gap_edges
 
 FORMAT_TAG = "gapgraph-index"
 FORMAT_VERSION = 5
 
 
-def _rle(array: np.ndarray) -> list[int]:
-    """(count, value) runs of a non-empty array in row-major order, flat."""
-    flat = np.asarray(array).ravel()
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(flat)) + 1))
-    counts = np.diff(starts, append=flat.size)
-    return np.column_stack((counts, flat[starts])).ravel().tolist()
+def _label_runs(part: RegionPartition) -> np.ndarray:
+    """int64 (count, label) rows of the cell labels in x-major order, read
+    off the partition's column runs: consecutive runs of one label merge,
+    also across a column's end."""
+    label = part.run_label
+    new = np.ones(len(label), dtype=bool)
+    new[1:] = label[1:] != label[:-1]
+    start = part.run_start[new]
+    return np.column_stack((np.diff(start, append=part.labels.size), label[new]))
 
 
-def _unrle(runs: np.ndarray, shape: tuple[int, int], nodes: int) -> np.ndarray:
-    """Cell labels from int64 (count, label) rows; each label must name one
-    of `nodes` union-graph nodes or be WALL_CELL.  Each count is bounded by
-    the cell count before the counts are summed, so the sum cannot wrap."""
-    counts, labels = runs.T
-    cells = shape[0] * shape[1]
-    if not ((counts >= 1) & (counts <= cells)).all() or counts.sum() != cells:
-        raise ValueError(f"label runs do not cover the {shape[0]}x{shape[1]} grid")
-    if labels.size and (labels.min() < WALL_CELL or labels.max() >= nodes):
+def _partition(
+    runs: np.ndarray, grid: DoubledGrid, region_count: int, nodes: int
+) -> RegionPartition:
+    """The partition whose cell labels the int64 (count, label) rows encode;
+    each label must name one of `nodes` union-graph nodes or be WALL_CELL.
+    Each count is bounded by the cell count before the counts are summed,
+    so the sum cannot wrap.  The column runs are the rows' runs, cut where
+    a column starts."""
+    counts, label = runs.T
+    nx, ny = grid.shape
+    if not ((counts >= 1) & (counts <= nx * ny)).all() or counts.sum() != nx * ny:
+        raise ValueError(f"label runs do not cover the {nx}x{ny} grid")
+    if label.size and (label.min() < WALL_CELL or label.max() >= nodes):
         raise ValueError(f"cell label outside [{WALL_CELL}, {nodes})")
-    return np.repeat(labels.astype(np.int32), counts).reshape(shape)
+    labels = np.repeat(label.astype(np.int32), counts).reshape(nx, ny)
+    start = sorted_unique(np.concatenate([np.cumsum(counts) - counts, np.arange(nx) * ny]))
+    return RegionPartition(grid, labels, region_count, start, labels.ravel()[start])
+
+
+def _check_runs(part: RegionPartition, rects: np.ndarray, edges: GapEdges) -> None:
+    """Raise ValueError unless the wall labels lie exactly on the
+    obstacles' cells (wall_runs) and every run labelled with the seal R + k
+    lies inside edge k's cell block; the runs are cut where a column starts,
+    so each lies in one column.  O(runs), and for the walls O(spans)."""
+    start, label, rc = part.run_start, part.run_label, part.region_count
+    stop = np.append(start[1:], part.labels.size)
+    wall = label == WALL_CELL
+    first, last = wall.copy(), wall.copy()
+    first[1:] &= ~wall[:-1]
+    last[:-1] &= ~wall[1:]
+    want_start, want_stop = wall_runs(rects, part.grid)
+    if not (np.array_equal(start[first], want_start) and np.array_equal(stop[last], want_stop)):
+        raise ValueError("wall labels differ from the obstacles' cells")
+    seal = np.flatnonzero(label >= rc)
+    x0, y0, x1, y1 = part.grid.closed(edges.rect)[:, label[seal] - rc]
+    col, lo = np.divmod(start[seal], part.grid.shape[1])
+    hi = lo + stop[seal] - start[seal]
+    outside = np.flatnonzero((col < x0) | (col >= x1) | (lo < y0) | (hi > y1))
+    if outside.size:
+        run = seal[outside[0]]
+        raise ValueError(f"a run labelled {label[run]} lies outside its seal's cells")
 
 
 def _ints(lines: list[str]) -> np.ndarray:
@@ -75,7 +118,7 @@ def save_index(index: FeasibilityIndex, path: str) -> None:
     lines += [f"{o.x1} {o.y1} {o.x2} {o.y2}" for o in index.obstacles]
     lines.append(f"edges {len(index.edges)}")
     lines += [f"{i} {j}" for i, j in index.edges.pairs.tolist()]
-    lines.append("labels " + " ".join(str(v) for v in _rle(part.labels)))
+    lines.append("labels " + " ".join(map(str, _label_runs(part).ravel().tolist())))
     lines.append(f"regions {part.region_count}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -139,9 +182,8 @@ def _parse(rows) -> FeasibilityIndex:
     owned = np.bincount(ids, minlength=region_count)
     if not owned.all():
         raise ValueError(f"region {np.argmin(owned)} labels no cell")
-    labels = _unrle(runs, grid.shape, region_count + len(edges))
-    if not np.array_equal(labels == WALL_CELL, wall_cells(grid, rects)):
-        raise ValueError("wall labels differ from the obstacles' cells")
+    partition = _partition(runs, grid, region_count, region_count + len(edges))
+    _check_runs(partition, rects, edges)
     if next(rows, None) is not None:
         raise ValueError("trailing lines after the region count")
 
@@ -149,5 +191,5 @@ def _parse(rows) -> FeasibilityIndex:
         obstacles=obstacles,
         edges=edges,
         candidate_count=candidate_count,
-        partition=RegionPartition(grid, labels, region_count),
+        partition=partition,
     )

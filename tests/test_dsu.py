@@ -140,3 +140,19 @@ def test_connected_many_rejects_what_connected_with_hops_rejects():
             dsu.connected_with_hops(u, v, t)
         with pytest.raises(ValueError):
             dsu.connected_many(np.array([0, u]), np.array([1, v]), np.array([1, t]))
+
+
+def test_batch_sees_unions_made_after_an_earlier_batch():
+    # connected_many keeps its arrays between batches; a union drops them.
+    dsu = PersistentDsu(4)
+    t = dsu.union(0, 1)
+    assert dsu.connected_many([0, 2], [1, 3], [t, t])[0].tolist() == [True, False]
+    t = dsu.union(2, 3)
+    t = dsu.union(1, 2)
+    u, v = [0, 2, 0, 0], [1, 3, 3, 3]
+    times = [t, t, t, t - 1]
+    connected, hops = dsu.connected_many(u, v, times)
+    assert connected.tolist() == [True, True, True, False]
+    assert list(zip(connected.tolist(), hops.tolist())) == [
+        dsu.connected_with_hops(*q) for q in zip(u, v, times)
+    ]

@@ -377,6 +377,34 @@ def test_known_wrong_verdicts_match_oracle(boxes, query):
     assert verdict == oracle_feasible(obstacles, s, t, 2 * d)
 
 
+# F4, a link at full capacity across a contact narrower than the robot:
+# two worlds (external units) shrunk from an aimed search, each with one
+# half-unit query that both paths answer FEASIBLE and the oracle INFEASIBLE.
+F4_PROBES = {
+    "six-boxes": (
+        [(6, 6, 7, 10), (2, 7, 6, 10), (8, 10, 14, 11), (2, 15, 8, 16), (8, 12, 14, 14), (4, 10, 5, 16)],
+        Query((5, 1), (13, 23), 4),
+    ),
+    "seven-boxes": (
+        [
+            (16, 5, 21, 7), (18, 6, 24, 7), (20, 9, 24, 10), (11, 11, 13, 16),
+            (7, 7, 13, 8), (16, 12, 18, 17), (14, 12, 15, 17),
+        ],
+        Query((57, 46), (36, 20), 8),
+    ),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="F4: known wrong verdict, not yet mended")
+@pytest.mark.parametrize("probe", F4_PROBES.values(), ids=F4_PROBES.keys())
+def test_known_wrong_f4_verdicts_match_oracle(probe):
+    boxes, q = probe
+    obstacles = ingest_world([("rect", box) for box in boxes])
+    index = preprocess(obstacles)
+    want = oracle_feasible(obstacles, q.s, q.t, q.d)
+    assert [index.feasible(q), *index.feasible_many([q])] == [want, want]
+
+
 class TestFeasibleMany:
     """The batch path gives feasible()'s verdict on every query."""
 
@@ -418,6 +446,25 @@ class TestFeasibleMany:
                     queries += [Query(p, t, d), Query(t, p, d)]
             assert idx.feasible_many(queries) == [idx.feasible(q) for q in queries]
         assert straddles >= 50
+
+    def test_one_query_batches_equal_scalar(self):
+        # Batches of one, between batches of many: the cached DSU and
+        # capacity arrays serve every batch alike.
+        rng = random.Random(57)
+        for _ in range(20):
+            idx = build_index(random_world(rng, rng.randint(0, 14), span=12))
+            queries = [
+                Query(
+                    (rng.randint(-6, 32), rng.randint(-6, 32)),
+                    (rng.randint(-6, 32), rng.randint(-6, 32)),
+                    2 * rng.randint(1, 6),
+                )
+                for _ in range(30)
+            ]
+            for k, q in enumerate(queries):
+                assert idx.feasible_many([q]) == [idx.feasible(q)]
+                if k % 10 == 0:
+                    assert idx.feasible_many(queries) == [idx.feasible(q) for q in queries]
 
     def test_empty_batch_and_empty_world(self):
         assert build_index(ROOM).feasible_many([]) == []
