@@ -43,24 +43,36 @@ class PersistentDsu:
         Time advances even when u and v are already connected, keeping a
         one-to-one correspondence between timestamps and union calls.
         """
-        self._check_node(u)
-        self._check_node(v)
-        self._arrays = None
-        self._time += 1
-        ru = self.find(u, self._time)[0]
-        rv = self.find(v, self._time)[0]
-        if ru != rv:
-            rank = self._rank
-            if rank[ru] < rank[rv]:
-                child, root = ru, rv
-            elif rank[ru] > rank[rv]:
-                child, root = rv, ru
-            else:
-                root, child = (ru, rv) if ru < rv else (rv, ru)
-                rank[root] += 1
-            self._parent[child] = root
-            self._link_time[child] = self._time
+        self.union_many([(u, v)])
         return self._time
+
+    def union_many(self, pairs: list[tuple[int, int]]) -> None:
+        """union(u, v) for each (u, v) of pairs in order, one timestamp
+        each: one loop over local lists, since a replay makes thousands.
+        Every link so far is at or before the new timestamp, so each find
+        walks to the root."""
+        for nodes in zip(*pairs):  # every u, then every v
+            self._check_node(min(nodes))
+            self._check_node(max(nodes))
+        self._arrays = None
+        parent, link_time, rank = self._parent, self._link_time, self._rank
+        time = self._time
+        for u, v in pairs:
+            time += 1
+            while parent[u] >= 0:
+                u = parent[u]
+            while parent[v] >= 0:
+                v = parent[v]
+            if u == v:
+                continue
+            # u becomes the root: the higher rank, on a tie the smaller id.
+            if rank[u] < rank[v] or (rank[u] == rank[v] and v < u):
+                u, v = v, u
+            if rank[u] == rank[v]:
+                rank[u] += 1
+            parent[v] = u
+            link_time[v] = time
+        self._time = time
 
     def connected_with_hops(self, u: int, v: int, t: int) -> tuple[bool, int]:
         """Whether u and v are connected at time t, and the parent hops spent."""

@@ -8,9 +8,11 @@ then fills the dense cell labels that the query path reads.  The index
 itself derives the capacity-weighted links of the region/seal adjacency
 graph from the partition's runs and replays them into a persistent DSU in
 descending capacity order, so the component structure at timestamp k
-reflects exactly the k widest links; a build and a load (store) construct
-it the same way from obstacles, edges and partition.  The stages hand on int64 columns
-(candidate pairs, GapEdges, (m, 3) links).
+reflects exactly the k widest links.  A load (store) keeps only the
+obstacles and edges of a build, and rebuilds the partition from them with
+the same build_partition call as preprocess, so both construct the index
+the same way.  The stages hand on int64 columns (candidate pairs,
+GapEdges, (m, 3) links).
 
 A query checks each placement, locates both endpoints, which reads their
 union-graph node ids straight off the partition (a point inside a sealed
@@ -109,8 +111,7 @@ class FeasibilityIndex:
         self.dsu = PersistentDsu(node_count)
         # Widest first; ties keep seal_links' sorted order.
         order = np.argsort(-self.links[:, 2], kind="stable")
-        for a, b in self.links[order, :2].tolist():
-            self.dsu.union(a, b)
+        self.dsu.union_many(self.links[order, :2].tolist())
         self._neg_caps = (-self.links[order, 2]).tolist()
         self._node_caps = node_capacities(self.partition.region_count, self.edges)
 

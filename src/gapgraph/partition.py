@@ -6,8 +6,9 @@ so zero-width gap rectangles and flush boundaries need no epsilons.  One
 sentinel coordinate beyond each extreme keeps the outermost ring free.  The
 grid lines are exactly the obstacle coordinates (build_grid); a gap
 rectangle's sides are coordinates of its own pair, so they lie on the grid
-too, and the grid is rebuilt from the obstacles once per build or load,
-never stored.
+too.  Neither the grid nor the partition is stored: a build and a load
+both make them from the obstacles and gap edges (build_grid, then
+build_partition).
 
 One rule maps coordinates to cells along an axis.  With C the sorted grid
 lines, L(v) = bisect_left(C, v) and R(v) = bisect_right(C, v):
@@ -211,27 +212,6 @@ def paint_runs(
     return np.concatenate(starts), np.concatenate(owners)
 
 
-def wall_runs(rects: np.ndarray, grid: DoubledGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The cells inside a closed obstacle of the (4, n) rect rows, as int64
-    flat cell ranges [start, stop) in x-major order, with touching ranges
-    merged, also across a column's end.
-
-    Each cell block is cut into one span per column.  With the span starts
-    and the span stops sorted apart, a span starts a new range exactly when
-    it starts after the stop before it in that order: the spans that start
-    before it then all stop before it."""
-    ny = grid.shape[1]
-    x0, y0, x1, y1 = grid.closed(rects)
-    col, k = _ranges(x0, x1)
-    base = col * ny
-    start, stop = np.sort(base + y0[k]), np.sort(base + y1[k])
-    new = np.ones(len(start), dtype=bool)
-    new[1:] = start[1:] > stop[:-1]
-    end = np.ones(len(stop), dtype=bool)
-    end[:-1] = new[1:]
-    return start[new], stop[end]
-
-
 def _min_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Smallest node of each node's component in the graph on range(n) with
     edges (u[k], v[k]): min-hooking of roots plus pointer jumping, until no
@@ -306,8 +286,9 @@ def seal_links(part: RegionPartition, edges: GapEdges) -> np.ndarray:
     region counts as unbounded.  A robot crossing from one cell to the
     other overlaps both at once, so both capacities bound it.  Seals whose gap
     rectangles meet only at a corner point do not link; a point contact can
-    pinch the robot.  Regions never touch each other, so every link ends at
-    a seal node; labels in which two regions touch raise ValueError.
+    pinch the robot.  Free runs that touch are one region
+    (build_partition), so regions never touch each other and every link
+    ends at a seal node.
 
     The adjacent pairs are read off the column runs: consecutive runs of
     one column, and each run's first cell against the cells beside it in
@@ -334,11 +315,6 @@ def seal_links(part: RegionPartition, edges: GapEdges) -> np.ndarray:
         u, v = u[touch], v[touch]
         keys.append(sorted_unique(np.minimum(u, v).astype(np.int64) * nodes + np.maximum(u, v)))
     a, b = np.divmod(sorted_unique(np.concatenate(keys)), nodes)
-    touching = np.flatnonzero(b < rc)
-    if touching.size:  # only forged labels (store) get here
-        k = touching[0]
-        raise ValueError(f"regions {a[k]} and {b[k]} touch")
-
     ra, rb = edges.rect[:, np.maximum(a - rc, 0)], edges.rect[:, b - rc]  # b is a seal
     ox = np.minimum(ra[2], rb[2]) - np.maximum(ra[0], rb[0])
     oy = np.minimum(ra[3], rb[3]) - np.maximum(ra[1], rb[1])

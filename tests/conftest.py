@@ -1,5 +1,6 @@
 """Shared test helpers: a rectangle under a plane symmetry and the inverse
 symmetry, a DSU's latest timestamp, random and general-position worlds,
+the adversarial world families (tied, touching, nested, crossing),
 random rectilinear polygons, one sweep pass's primary pairs, the gap edges
 of chosen pairs or of a whole world, the edges as Python rows, the partition
 of a world, scalar grid lookups (a grid line, a point's cell, an open
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from typing import Callable
 
 import numpy as np
 
@@ -68,6 +70,57 @@ def general_position(rng: random.Random, n: int) -> list[Obstacle]:
         w, h = (2 * rng.randint(1, 150) for _ in range(2))
         obs.append(Obstacle(k, x, y, x + w, y + h))
     return obs
+
+
+def tied_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+    """Boxes whose sides come from a few shared lines: tied x1 and y1
+    groups, flush sides and overlaps."""
+    xs, ys = sorted(rng.sample(range(0, 40, 2), 5)), sorted(rng.sample(range(0, 40, 2), 5))
+    boxes = []
+    for _ in range(n):
+        (x1, x2), (y1, y2) = sorted(rng.sample(xs, 2)), sorted(rng.sample(ys, 2))
+        boxes.append(("rect", (x1, y1, x2, y2)))
+    return ingest_world(boxes)
+
+
+def touching_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+    """Unit boxes on a lattice with holes, which meet along sides and at
+    corners."""
+    cells = rng.sample([(x, y) for x in range(6) for y in range(6)], n)
+    return ingest_world([("rect", (2 * x, 2 * y, 2 * x + 2, 2 * y + 2)) for x, y in cells])
+
+
+def nested_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+    """Boxes inside boxes, beside a few loose ones."""
+    boxes = []
+    for _ in range(n):
+        x, y, w = rng.randint(0, 30), rng.randint(0, 30), rng.randint(4, 12)
+        boxes.append(("rect", (x, y, x + w, y + w)))
+        boxes.append(("rect", (x + 1, y + 1, x + w - rng.randint(1, 2), y + w - 1)))
+    return ingest_world(boxes)
+
+
+def crossing_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+    """Plus signs: a tall and a wide box crossing at their middles."""
+    boxes = []
+    for _ in range(n):
+        x, y, a, b = rng.randint(0, 30), rng.randint(0, 30), rng.randint(1, 6), rng.randint(1, 6)
+        boxes += [("rect", (x, y - a, x + 1, y + a + 1)), ("rect", (x - b, y, x + b + 1, y + 1))]
+    return ingest_world(boxes)
+
+
+def world_families(rng: random.Random) -> dict[str, Callable[[int], list[Obstacle]]]:
+    """Makers of n-box worlds by family, drawing from rng: random lattice
+    boxes, general position, tied lines, touching, nested and crossing
+    boxes (the last two make about n boxes, in pairs)."""
+    return {
+        "random": lambda n: random_obstacles(rng, n, span=12),
+        "general": lambda n: general_position(rng, n),
+        "tied": lambda n: tied_obstacles(rng, n),
+        "touching": lambda n: touching_obstacles(rng, n),
+        "nested": lambda n: nested_obstacles(rng, n // 2 + 1),
+        "crossing": lambda n: crossing_obstacles(rng, n // 2 + 1),
+    }
 
 
 def shadow_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from gapgraph.cli import main
@@ -23,15 +24,18 @@ R 9 0 10 4
 R 9 8 10 10
 """
 
-#: A v5 index of the empty world (one region, no edges, a 5x5 cell grid)
-#: with the given run-length encoded cell labels.
+#: The v6 index of the empty world (one region, no edges, a 5x5 cell grid).
 EMPTY_INDEX = """\
-gapgraph-index 5
+gapgraph-index 6
 candidates 0
 obstacles 0
 edges 0
+"""
+
+#: The labels and region count that v5 wrote after the edges.
+V5_LABELS = """\
 labels {labels}
-regions 1
+regions {regions}
 """
 
 #: The empty world in the v2 and v3 layouts, which held grid coordinates.
@@ -47,49 +51,46 @@ regions 1
 links 0
 """
 
-#: A v5 index of the boxes [0,1]x[0,1] and [2,3]x[0,1], whose one gap edge
-#: (seal node 1) is given as its obstacle pair.
+#: A v6 index of the boxes [0,1]x[0,1] and [2,3]x[0,1], whose one gap edge
+#: is given as its obstacle pair.
 GAP_INDEX = """\
-gapgraph-index 5
+gapgraph-index 6
 candidates 1
 obstacles 2
 0 0 2 2
 4 0 6 2
 edges 1
 {edge}
-labels 16 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 1 4 0 3 -1 4 0 3 -1 4 0 3 -1 16 0
-regions 1
 """
 
-#: A v5 index of the touching boxes [0,1]x[0,1] and [1,2]x[0,1] that lists
+#: GAP_INDEX's cell labels as v5 stored them (seal node 1 in the gap).
+GAP_LABELS = "16 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 1 4 0 3 -1 4 0 3 -1 4 0 3 -1 16 0"
+
+#: A v6 index of the touching boxes [0,1]x[0,1] and [1,2]x[0,1] that lists
 #: their pair as an edge.
 TOUCHING_INDEX = """\
-gapgraph-index 5
+gapgraph-index 6
 candidates 1
 obstacles 2
 0 0 2 2
 2 0 4 2
 edges 1
 0 1
-labels 16 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 -1 4 0 3 -1 16 0
-regions 1
 """
 
-#: The v5 index of `R 0 0 2 2` (a 7x7 cell grid) with the given labels.
+#: The v6 index of `R 0 0 2 2` (a 7x7 cell grid).
 BOX_INDEX = """\
-gapgraph-index 5
+gapgraph-index 6
 candidates 0
 obstacles 1
 0 0 4 4
 edges 0
-labels {labels}
-regions 1
 """
 
-#: A v5 index of a room sealed by four walls (R 0 0 10 1, R 0 9 10 10,
+#: A v6 index of a room sealed by four walls (R 0 0 10 1, R 0 9 10 10,
 #: R 0 0 1 10, R 9 0 10 10): region 0 outside, region 1 the one cell inside.
 SEALED_INDEX = """\
-gapgraph-index 5
+gapgraph-index 6
 candidates 2
 obstacles 4
 0 0 20 2
@@ -97,9 +98,10 @@ obstacles 4
 0 0 2 20
 18 0 20 20
 edges 0
-labels 24 0 7 -1 4 0 7 -1 4 0 7 -1 4 0 3 -1 {inside} 3 -1 4 0 7 -1 4 0 7 -1 4 0 7 -1 24 0
-regions 2
 """
+
+#: SEALED_INDEX's cell labels as v5 stored them, with the inside cell's.
+SEALED_LABELS = "24 0 7 -1 4 0 7 -1 4 0 7 -1 4 0 3 -1 {inside} 3 -1 4 0 7 -1 4 0 7 -1 4 0 7 -1 24 0"
 
 
 class TestWorldIO:
@@ -341,24 +343,32 @@ class TestCli:
             "gapgraph-index 2\ncandidates 0\nobstacles 3\n0 0 0 2 2\n",
             "gapgraph-index 4\ncandidates 0\nobstacles 3\n0 0 2 2\n",
             "gapgraph-index 5\ncandidates 0\nobstacles 3\n0 0 2 2\n",
-            # GAP_INDEX as v4 wrote it, with its links section
-            GAP_INDEX.format(edge="0 1").replace("index 5", "index 4") + "links 1\n0 1 2\n",
+            "gapgraph-index 6\ncandidates 0\nobstacles 3\n0 0 2 2\n",
+            # GAP_INDEX as v4 wrote it, with its labels and links sections
+            GAP_INDEX.format(edge="0 1").replace("index 6", "index 4")
+            + V5_LABELS.format(labels=GAP_LABELS, regions=1)
+            + "links 1\n0 1 2\n",
+            # GAP_INDEX as v5 wrote it, with its labels section
+            GAP_INDEX.format(edge="0 1").replace("index 6", "index 5")
+            + V5_LABELS.format(labels=GAP_LABELS, regions=1),
+            # v6 stores no labels: a labels section after the edges is a
+            # trailing line, so none of these forged labels is read
+            EMPTY_INDEX + "labels 25 0\n",
             # the centre cell names node 1, a seal of an edge that is not there
-            EMPTY_INDEX.format(labels="12 0 1 1 12 0"),
-            EMPTY_INDEX.format(labels="25 4294967296"),
-            EMPTY_INDEX.format(labels=f"{2**40} 0"),
-            # region 1 owns no cell; a region count beyond the runs would
-            # also let a node id past 2**31 wrap as an int32 cell label
-            EMPTY_INDEX.format(labels="25 0").replace("regions 1", "regions 2"),
-            # the room's inside labelled as the outside: region 1 owns no
-            # cell, and a start inside would reach the outside
-            SEALED_INDEX.format(inside="1 0"),
+            EMPTY_INDEX + V5_LABELS.format(labels="12 0 1 1 12 0", regions=1),
+            EMPTY_INDEX + V5_LABELS.format(labels="25 4294967296", regions=1),
+            EMPTY_INDEX + V5_LABELS.format(labels=f"{2**40} 0", regions=1),
+            # two regions in one label run: region 1 owns no cell
+            EMPTY_INDEX + V5_LABELS.format(labels="25 0", regions=2),
+            # the room's inside labelled as the outside: a start inside
+            # would reach the outside
+            SEALED_INDEX + V5_LABELS.format(labels=SEALED_LABELS.format(inside="1 0"), regions=2),
             # the counts sum to 2**64 + 25, which int64 would wrap to 25
-            EMPTY_INDEX.format(labels=f"{2**62} 0 " * 4 + "25 0"),
+            EMPTY_INDEX + V5_LABELS.format(labels=f"{2**62} 0 " * 4 + "25 0", regions=1),
             # the box's cells labelled free: a start inside it would be valid
-            BOX_INDEX.format(labels="49 0"),
+            BOX_INDEX + V5_LABELS.format(labels="49 0", regions=1),
             # a wall on the empty world's centre cell
-            EMPTY_INDEX.format(labels="12 0 1 -1 12 0"),
+            EMPTY_INDEX + V5_LABELS.format(labels="12 0 1 -1 12 0", regions=1),
             GAP_INDEX.format(edge="0 2"),  # obstacle 2 does not exist
             TOUCHING_INDEX,
             # beyond the ingest bound of 2**61 half-units, where int64 wraps
@@ -366,11 +376,9 @@ class TestCli:
             GAP_INDEX.format(edge="0 1").replace("0 0 2 2", f"{-2**62} 0 2 2"),
             GAP_INDEX.format(edge="0 1").replace("4 0 6 2", "4 0 6 2 #"),
             GAP_INDEX.format(edge="0 1").replace("4 0 6 2", "4 0 4 2"),
-            EMPTY_INDEX.format(labels="25 0").replace("obstacles 0", "obstacles -1"),
-            EMPTY_INDEX.format(labels="25 0")
-            .replace("candidates", "whatever")
-            .replace("regions", "nonsense"),
-            EMPTY_INDEX.format(labels="25 0") + "garbage\n",
+            EMPTY_INDEX.replace("obstacles 0", "obstacles -1"),
+            EMPTY_INDEX.replace("candidates", "whatever"),
+            EMPTY_INDEX + "garbage\n",
         ],
         ids=[
             "missing",
@@ -381,7 +389,10 @@ class TestCli:
             "truncated-v2",
             "truncated-v4",
             "truncated-v5",
+            "truncated-v6",
             "v4-index",
+            "v5-index",
+            "labels-section",
             "label-out-of-range",
             "label-overflow",
             "label-run-overflow",
@@ -426,10 +437,10 @@ class TestCli:
         ids=["capacity", "region-to-region", "out-of-order", "out-of-range"],
     )
     def test_edited_room_links_exit_1(self, links, room, tmp_path, capsys):
-        # A v5 file holds no links: the index derives the room's two, each
+        # A v6 file holds no links: the index derives the room's two, each
         # region to the gap's seal, node 2, at capacity 8, so this side-5
-        # query is INFEASIBLE.  A links section written after the region
-        # count (as v4 had one, here edited) is rejected, never replayed.
+        # query is INFEASIBLE.  A links section written after the edges
+        # (as v4 had one, here edited) is rejected, never replayed.
         idx = tmp_path / "room.idx"
         assert main(["build", str(room), "-o", str(idx)]) == 0
         queries = tmp_path / "q.txt"
@@ -438,26 +449,29 @@ class TestCli:
         assert main(["query", str(idx), str(queries)]) == 0
         assert capsys.readouterr().out == "INFEASIBLE\n"
         text = idx.read_text()
-        assert text.endswith("regions 2\n") and "links" not in text
+        assert text.endswith("edges 1\n3 4\n") and "links" not in text
         idx.write_text(text + "links 2\n" + "\n".join(links) + "\n")
         assert main(["query", str(idx), str(queries)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "trailing lines" in err
 
     @pytest.mark.parametrize(
-        "content",
+        "content, labels",
         [
-            EMPTY_INDEX.format(labels="25 0"),
-            GAP_INDEX.format(edge="0 1"),
-            BOX_INDEX.format(labels="16 0 3 -1 4 0 3 -1 4 0 3 -1 16 0"),
-            SEALED_INDEX.format(inside="1 1"),
+            (EMPTY_INDEX, "25 0"),
+            (GAP_INDEX.format(edge="0 1"), GAP_LABELS),
+            (BOX_INDEX, "16 0 3 -1 4 0 3 -1 4 0 3 -1 16 0"),
+            (SEALED_INDEX, SEALED_LABELS.format(inside="1 1")),
         ],
         ids=["empty", "gap", "box", "sealed"],
     )
-    def test_index_fixtures_load(self, content, tmp_path, capsys):
-        # The files that test_unreadable_index_exits_1 edits load unedited.
+    def test_index_fixtures_load(self, content, labels, tmp_path, capsys):
+        # The files that test_unreadable_index_exits_1 edits load unedited,
+        # and rebuild the cell labels that v5 stored for them.
         idx = tmp_path / "x.idx"
         idx.write_text(content)
+        counts, label = np.array(labels.split(), dtype=np.int64).reshape(-1, 2).T
+        assert np.array_equal(load_index(str(idx)).partition.labels.ravel(), np.repeat(label, counts))
         queries = tmp_path / "q.txt"
         queries.write_text("Q -3 -3 9 -3 1\n")
         assert main(["query", str(idx), str(queries)]) == 0

@@ -41,6 +41,9 @@ def test_invalid_inputs():
     dsu = PersistentDsu(3)
     with pytest.raises(ValueError):
         dsu.union(0, 3)
+    with pytest.raises(ValueError):  # checked before any pair is linked
+        dsu.union_many([(0, 1), (-1, 2)])
+    assert dsu_time(dsu) == 0 and dsu._parent == [-1, -1, -1]
     with pytest.raises(ValueError):
         dsu.connected_with_hops(0, 1, 1)  # beyond current time
     with pytest.raises(ValueError):
@@ -71,6 +74,9 @@ def test_matches_scratch_recomputation():
         dsu = PersistentDsu(n)
         for u, v in ops:
             dsu.union(u, v)
+        batch = PersistentDsu(n)
+        batch.union_many(ops)
+        assert (batch._parent, batch._link_time, dsu_time(batch)) == (dsu._parent, dsu._link_time, len(ops))
         for t in range(len(ops) + 1):
             scratch = _ScratchDsu(n, ops[:t])
             for _ in range(20):

@@ -7,7 +7,7 @@ import pytest
 
 from gapgraph.engine import build_index
 from gapgraph.geometry import Obstacle, Rect, ingest_world
-from gapgraph.partition import WALL_CELL, build_grid, seal_links, wall_runs
+from gapgraph.partition import WALL_CELL, build_grid, seal_links
 from gapgraph.sweep import columns, gap_edges, pathways
 from gapgraph.worldgen import world_shapes
 
@@ -22,6 +22,7 @@ from conftest import (
     partition_of,
     point_cell,
     random_obstacles,
+    world_families,
 )
 from partition_reference import build_partition as dense_partition
 from partition_reference import seal_links as dense_seal_links
@@ -394,43 +395,6 @@ def test_seal_links_connect_corridor_chains():
     assert find(middle) == find(part.locate((0, 0)))
 
 
-def _tied(rng: random.Random, n: int) -> list[Obstacle]:
-    """Boxes whose sides come from a few shared lines: tied x1 and y1
-    groups, flush sides and overlaps."""
-    xs, ys = sorted(rng.sample(range(0, 40, 2), 5)), sorted(rng.sample(range(0, 40, 2), 5))
-    boxes = []
-    for _ in range(n):
-        (x1, x2), (y1, y2) = sorted(rng.sample(xs, 2)), sorted(rng.sample(ys, 2))
-        boxes.append(("rect", (x1, y1, x2, y2)))
-    return ingest_world(boxes)
-
-
-def _touching(rng: random.Random, n: int) -> list[Obstacle]:
-    """Unit boxes on a lattice with holes, which meet along sides and at
-    corners."""
-    cells = rng.sample([(x, y) for x in range(6) for y in range(6)], n)
-    return ingest_world([("rect", (2 * x, 2 * y, 2 * x + 2, 2 * y + 2)) for x, y in cells])
-
-
-def _nested(rng: random.Random, n: int) -> list[Obstacle]:
-    """Boxes inside boxes, beside a few loose ones."""
-    boxes = []
-    for _ in range(n):
-        x, y, w = rng.randint(0, 30), rng.randint(0, 30), rng.randint(4, 12)
-        boxes.append(("rect", (x, y, x + w, y + w)))
-        boxes.append(("rect", (x + 1, y + 1, x + w - rng.randint(1, 2), y + w - 1)))
-    return ingest_world(boxes)
-
-
-def _crossing(rng: random.Random, n: int) -> list[Obstacle]:
-    """Plus signs: a tall and a wide box crossing at their middles."""
-    boxes = []
-    for _ in range(n):
-        x, y, a, b = rng.randint(0, 30), rng.randint(0, 30), rng.randint(1, 6), rng.randint(1, 6)
-        boxes += [("rect", (x, y - a, x + 1, y + a + 1)), ("rect", (x - b, y, x + b + 1, y + 1))]
-    return ingest_world(boxes)
-
-
 def _every_gap(obstacles: list[Obstacle]):
     """The gap edges of every pair that has a passage, relevant or not:
     many overlapping gap rectangles, also over walls."""
@@ -441,9 +405,8 @@ def _every_gap(obstacles: list[Obstacle]):
 
 
 def _assert_matches_dense(obstacles, edges):
-    """build_partition, seal_links and wall_runs equal the dense reference:
-    labels, region count, column runs, links and wall cells, with their
-    dtypes."""
+    """build_partition and seal_links equal the dense reference: labels,
+    region count, column runs and links, with their dtypes."""
     rects = columns(obstacles)[1]
     grid = build_grid(rects)
     part = partition_of(obstacles, edges)
@@ -453,24 +416,12 @@ def _assert_matches_dense(obstacles, edges):
         got, ref = getattr(part, field), getattr(want, field)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), field
     assert np.array_equal(seal_links(part, edges), dense_seal_links(want, edges))
-    wall = np.concatenate([[0], want.labels.ravel() == WALL_CELL, [0]]).astype(np.int8)
-    sides = np.flatnonzero(np.diff(wall))
-    got = wall_runs(rects, grid)
-    assert np.array_equal(got[0], sides[0::2]) and np.array_equal(got[1], sides[1::2])
 
 
 def test_runs_equal_dense_reference_on_world_families():
     rng = random.Random(48)
-    families = {
-        "random": lambda n: random_obstacles(rng, n, span=12),
-        "general": lambda n: general_position(rng, n),
-        "tied": lambda n: _tied(rng, n),
-        "touching": lambda n: _touching(rng, n),
-        "nested": lambda n: _nested(rng, n // 2 + 1),
-        "crossing": lambda n: _crossing(rng, n // 2 + 1),
-    }
     _assert_matches_dense([], build_gap_edges([]))
-    for make in families.values():
+    for make in world_families(rng).values():
         for _ in range(40):
             obstacles = make(rng.randint(1, 16))
             _assert_matches_dense(obstacles, build_gap_edges(obstacles))
