@@ -11,7 +11,6 @@ from .dsu import PersistentDsu
 from .engine import FeasibilityIndex, Query, Verdict, build_index, preprocess
 from .geometry import (
     GapVector,
-    Obstacle,
     Rect,
     SYMMETRIES,
     Symmetry,
@@ -29,7 +28,6 @@ __all__ = [
     "GabrielEdge",
     "GapEdges",
     "GapVector",
-    "Obstacle",
     "PersistentDsu",
     "Query",
     "Rect",

@@ -75,7 +75,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         save_index(index, args.out)
     except OSError as exc:
         raise SystemExit(f"error: {exc}")
-    print(f"obstacles {len(index.obstacles)}")
+    print(f"obstacles {index.rects.shape[1]}")
     print(f"candidates {index.candidate_count}")
     print(f"edges {len(index.edges)}")
     print(f"regions {index.partition.region_count}")
@@ -148,19 +148,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def disagrees(shape_subset, query):
         try:
-            obs = ingest_world(shape_subset)
+            rects = ingest_world(shape_subset)
         except ValueError:
             return False
         idx = build(shape_subset)
-        return idx.feasible(query) != oracle_feasible(obs, query.s, query.t, query.d)
+        return idx.feasible(query) != oracle_feasible(rects, query.s, query.t, query.d)
 
     index = build(shapes)
-    obstacles = index.obstacles
     agree = 0
     first_bad = None
     for q in queries:
         engine_v = index.feasible(q)
-        oracle_v = oracle_feasible(obstacles, q.s, q.t, q.d)
+        oracle_v = oracle_feasible(index.rects, q.s, q.t, q.d)
         if engine_v == oracle_v:
             agree += 1
         elif first_bad is None:

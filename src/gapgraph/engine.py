@@ -11,8 +11,9 @@ descending capacity order, so the component structure at timestamp k
 reflects exactly the k widest links.  A load (store) keeps only the
 obstacles and edges of a build, and rebuilds the partition from them with
 the same build_partition call as preprocess, so both construct the index
-the same way.  The stages hand on int64 columns (candidate pairs,
-GapEdges, (m, 3) links).
+the same way.  The stages hand on int64 columns: the obstacles' (4, n)
+rect rows from ingest on (an obstacle's id is its column), candidate
+pairs, GapEdges and (m, 3) links.
 
 A query checks each placement, locates both endpoints, which reads their
 union-graph node ids straight off the partition (a point inside a sealed
@@ -44,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .dsu import PersistentDsu
-from .geometry import COORD_LIMIT, Obstacle, ingest_world
+from .geometry import COORD_LIMIT, ingest_world
 from .partition import (
     WALL_CELL,
     RegionPartition,
@@ -53,13 +54,7 @@ from .partition import (
     node_capacities,
     seal_links,
 )
-from .sweep import (
-    GapEdges,
-    ObstacleCounter,
-    build_candidates,
-    columns,
-    relevance_filter,
-)
+from .sweep import GapEdges, ObstacleCounter, build_candidates, relevance_filter
 
 
 class Verdict(Enum):
@@ -93,7 +88,7 @@ class Query:
 class FeasibilityIndex:
     """Immutable after construction; safe for concurrent queries."""
 
-    obstacles: list[Obstacle]
+    rects: np.ndarray  # int64 (4, n) obstacles x1, y1, x2, y2; an id is a column
     edges: GapEdges
     candidate_count: int
     partition: RegionPartition
@@ -183,10 +178,10 @@ class FeasibilityIndex:
         return np.asarray(self._neg_caps, dtype=np.int64)
 
     @cached_property
-    def _counter(self) -> ObstacleCounter:
-        """The batch placement check, built on the first batch: a load never
-        pays for it."""
-        return ObstacleCounter(columns(self.obstacles)[1])
+    def counter(self) -> ObstacleCounter:
+        """The obstacle counter of the batch placement check, built on the
+        first batch, or by a load's pathway check (store)."""
+        return ObstacleCounter(self.rects)
 
     def _nodes_many(self, p: np.ndarray, d: np.ndarray) -> np.ndarray:
         """region_of for the placements at the int64 (2, m) points p with
@@ -196,7 +191,7 @@ class FeasibilityIndex:
         cell rule, with searchsorted, locates the free ones.  A free
         placement in a seal narrower than d goes to _straddling_node."""
         h = d // 2
-        free = self._counter.meets(np.concatenate([p - h, p + h])) == 0
+        free = self.counter.meets(np.concatenate([p - h, p + h])) == 0
         part = self.partition
         cells = []
         for coords, v in zip((part.grid.xs, part.grid.ys), p):
@@ -242,14 +237,13 @@ class FeasibilityIndex:
         return [_VERDICTS[c] for c in code.tolist()]
 
 
-def preprocess(obstacles: list[Obstacle]) -> FeasibilityIndex:
-    """Build the full index: edges, partition, then (in the index) links
-    and union timeline."""
-    rects = columns(obstacles)[1]
-    candidates = build_candidates(obstacles)
+def preprocess(rects: np.ndarray) -> FeasibilityIndex:
+    """Build the full index over the obstacles' int64 (4, n) rect rows:
+    edges, partition, then (in the index) links and union timeline."""
+    candidates = build_candidates(rects)
     edges = relevance_filter(candidates, rects)
     return FeasibilityIndex(
-        obstacles=obstacles,
+        rects=rects,
         edges=edges,
         candidate_count=len(candidates),
         partition=build_partition(rects, edges, build_grid(rects)),

@@ -7,12 +7,16 @@ are doubled on ingestion so that rectangle midpoints and half-robot offsets
 Obstacles are closed axis-aligned rectangles; the robot is an open square.
 A placement therefore remains free when the robot boundary touches an
 obstacle boundary, and a robot of side d passes a gap of width exactly d.
+A world's obstacles are one int64 (4, n) array of rect rows x1, y1, x2, y2,
+and an obstacle's id is its column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import polygons
 
@@ -31,25 +35,6 @@ class GapVector(NamedTuple):
 
     gx: int
     gy: int
-
-
-@dataclass(frozen=True, slots=True)
-class Obstacle:
-    """Closed rectangle with a dense id, coordinates in half-units."""
-
-    id: int
-    x1: int
-    y1: int
-    x2: int
-    y2: int
-
-    def __post_init__(self) -> None:
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(f"obstacle {self.id}: degenerate extent")
-
-    @property
-    def rect(self) -> Rect:
-        return Rect(self.x1, self.y1, self.x2, self.y2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,15 +67,17 @@ COORD_LIMIT = 2**60
 RawShape = tuple[str, Sequence]
 
 
-def ingest_world(shapes: Iterable[RawShape]) -> list[Obstacle]:
-    """Convert external-unit rectangles and rectilinear polygons into
-    half-unit obstacles with ids assigned densely in input order.
+def ingest_world(shapes: Iterable[RawShape]) -> np.ndarray:
+    """Convert external-unit rectangles and rectilinear polygons into the
+    obstacles' half-unit int64 (4, n) rect rows, ids (columns) assigned
+    densely in input order.
 
     Polygons are cut into disjoint rectangles first; each piece gets its
     own id. Raises ValueError naming the offending input index, also for a
-    coordinate beyond COORD_LIMIT.
+    coordinate beyond COORD_LIMIT, which is checked on the input's ints
+    before they become int64.
     """
-    obstacles: list[Obstacle] = []
+    corners: list[Sequence[int]] = []
     for index, (kind, data) in enumerate(shapes):
         if kind == "rect":
             x1, y1, x2, y2 = data
@@ -106,14 +93,11 @@ def ingest_world(shapes: Iterable[RawShape]) -> list[Obstacle]:
             raise ValueError(f"input {index}: unknown shape kind {kind!r}")
         if any(abs(v) > COORD_LIMIT for piece in pieces for v in piece):
             raise ValueError(f"input {index}: coordinate outside [-2**60, 2**60]")
-        for x1, y1, x2, y2 in pieces:
-            obstacles.append(
-                Obstacle(len(obstacles), 2 * x1, 2 * y1, 2 * x2, 2 * y2)
-            )
-    return obstacles
+        corners += pieces
+    return 2 * np.ascontiguousarray(np.array(corners, dtype=np.int64).reshape(-1, 4).T)
 
 
-def gaps(a: Obstacle, b: Obstacle) -> GapVector:
+def gaps(a: Rect, b: Rect) -> GapVector:
     """Axis gaps between two obstacles (negative = projections overlap)."""
     return GapVector(
         max(a.x1, b.x1) - min(a.x2, b.x2),
@@ -121,8 +105,9 @@ def gaps(a: Obstacle, b: Obstacle) -> GapVector:
     )
 
 
-def placement_free(p: tuple[int, int], d: int, obstacles: Iterable[Obstacle]) -> bool:
-    """True iff the open square of side d centered at p misses every obstacle.
+def placement_free(p: tuple[int, int], d: int, rects: np.ndarray) -> bool:
+    """True iff the open square of side d centered at p misses every
+    obstacle of the int64 (4, n) rect rows.
 
     Boundary contact is allowed: the robot is open, obstacles are closed.
     """
@@ -130,7 +115,7 @@ def placement_free(p: tuple[int, int], d: int, obstacles: Iterable[Obstacle]) ->
         raise ValueError("robot side must be a nonnegative even half-unit count")
     px, py = p
     h = d // 2
-    for o in obstacles:
-        if o.x1 - h < px < o.x2 + h and o.y1 - h < py < o.y2 + h:
+    for x1, y1, x2, y2 in rects.T.tolist():
+        if x1 - h < px < x2 + h and y1 - h < py < y2 + h:
             return False
     return True

@@ -1,5 +1,9 @@
 """Exact brute-force references used by the acceptance and property tests.
 
+Both take the obstacles as the pipeline does, int64 (4, n) rect rows, and
+turn them once at entry into their own Rect tuples (an obstacle's id is
+its position); from there on they are scalar Python.
+
 Feasibility goes through obstacle expansion: grow every obstacle by d/2,
 then the robot is a point and the free space is the complement of the open
 expanded rectangles (open robot, closed obstacles: boundary contact stays
@@ -22,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .engine import Verdict
-from .geometry import Obstacle, Rect, gaps
+from .geometry import Rect, gaps
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
@@ -38,7 +42,7 @@ def _cell(coords: list[int], v: int) -> int:
     return 2 * i - 1
 
 
-def minimum_pathway(a: Obstacle, b: Obstacle) -> Rect | None:
+def minimum_pathway(a: Rect, b: Rect) -> Rect | None:
     """Swept area of a maximum-size robot fully traversing the gap.
 
     None when the pair has no passage.  A tie between the axis gaps treats
@@ -64,7 +68,7 @@ def minimum_pathway(a: Obstacle, b: Obstacle) -> Rect | None:
 
 
 def oracle_feasible(
-    obstacles: list[Obstacle],
+    rects: np.ndarray,
     s: tuple[int, int],
     t: tuple[int, int],
     d: int,
@@ -78,6 +82,7 @@ def oracle_feasible(
     """
     if d <= 0 or d % 2:
         raise ValueError("robot side must be a positive even half-unit count")
+    obstacles = [Rect(*r) for r in rects.T.tolist()]
     if not obstacles:
         return Verdict.FEASIBLE
     h = d // 2
@@ -109,9 +114,10 @@ def oracle_feasible(
     return Verdict.FEASIBLE if labels[cs] == labels[ct] else Verdict.INFEASIBLE
 
 
-def oracle_relevant_edges(obstacles: list[Obstacle]) -> set[tuple[int, int]]:
-    """All passable pairs whose open pathway interior meets no third
-    obstacle (boundary contact does not block)."""
+def oracle_relevant_edges(rects: np.ndarray) -> set[tuple[int, int]]:
+    """All passable pairs (i, j), i < j, whose open pathway interior meets
+    no third obstacle (boundary contact does not block)."""
+    obstacles = [Rect(*r) for r in rects.T.tolist()]
     out: set[tuple[int, int]] = set()
     n = len(obstacles)
     for i in range(n):
@@ -135,5 +141,5 @@ def oracle_relevant_edges(obstacles: list[Obstacle]) -> set[tuple[int, int]]:
                     blocked = True
                     break
             if not blocked:
-                out.add((a.id, b.id) if a.id < b.id else (b.id, a.id))
+                out.add((i, j))
     return out

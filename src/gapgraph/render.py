@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import colorsys
 
+import numpy as np
+
 from .engine import FeasibilityIndex
-from .sweep import columns, pathways
+from .sweep import pathways
 
 _MARGIN = 4
 
@@ -21,24 +23,25 @@ def _region_color(region_id: int) -> str:
 
 
 def _region_runs(index: FeasibilityIndex):
-    """Positive-area per-row runs of same-region cells: (region, x1, y1, x2, y2)."""
+    """Positive-area runs of same-region cells along each interval row,
+    row by row from the bottom: (region, x1, y1, x2, y2)."""
     part = index.partition
-    xs, ys = part.grid.xs, part.grid.ys
-    labels = part.labels
-    nx, ny = labels.shape
-    for iy in range(1, ny, 2):  # interval rows only; lines have no area
-        ylo, yhi = ys[(iy - 1) // 2], ys[(iy + 1) // 2]
-        ix = 1
-        while ix < nx:
-            reg = int(labels[ix, iy])
-            if not 0 <= reg < part.region_count:
-                ix += 2
-                continue
-            start = ix
-            while ix + 2 < nx and labels[ix + 2, iy] == reg:
-                ix += 2
-            yield reg, xs[(start - 1) // 2], ylo, xs[(ix + 1) // 2], yhi
-            ix += 2
+    xs, ys = np.asarray(part.grid.xs), np.asarray(part.grid.ys)
+    rows = part.labels[1::2, 1::2].T  # interval cells only; lines have no area
+    region = (rows >= 0) & (rows < part.region_count)
+    starts = np.ones_like(region)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    ends = np.ones_like(region)
+    ends[:, :-1] = starts[:, 1:]
+    iy, ix = np.nonzero(region & starts)
+    end = np.nonzero(region & ends)[1]
+    return zip(
+        rows[iy, ix].tolist(),
+        xs[ix].tolist(),
+        ys[iy].tolist(),
+        xs[end + 1].tolist(),
+        ys[iy + 1].tolist(),
+    )
 
 
 def render_svg(
@@ -77,9 +80,9 @@ def render_svg(
                 f'<rect {rect_attrs(rx1, ry1, rx2, ry2)} '
                 f'fill="{_region_color(reg)}" stroke="none"/>'
             )
-    for o in index.obstacles:
+    for o in index.rects.T.tolist():
         out.append(
-            f'<rect {rect_attrs(o.x1, o.y1, o.x2, o.y2)} '
+            f'<rect {rect_attrs(*o)} '
             'fill="#6b7280" stroke="#1f2937" stroke-width="0.4"/>'
         )
     if show_edges:
@@ -90,8 +93,7 @@ def render_svg(
             )
     if show_pathways:
         i, j = index.edges.pairs.T
-        rects = columns(index.obstacles)[1]
-        for p in pathways(rects[:, i], rects[:, j])[2].T.tolist():
+        for p in pathways(index.rects[:, i], index.rects[:, j])[2].T.tolist():
             out.append(
                 f'<rect {rect_attrs(*p)} fill="none" '
                 'stroke="#b91c1c" stroke-width="0.4" stroke-dasharray="2,2"/>'

@@ -2,20 +2,23 @@
 
 Format v6 holds what cannot be rebuilt: the candidate count, the obstacles
 (`x1 y1 x2 y2`, the id is the line's position) and the gap edges as
-obstacle pairs (`i j`).  Loading rebuilds everything else with the
-functions the build uses: the edges from their pairs (sweep.gap_edges),
-the grid from the obstacles and the partition from both
-(partition.build_partition, as engine.preprocess calls it); the index then
-derives its links and DSU timeline, as after a build.  Each table is read
-by one np.loadtxt into int64, which takes no comments, so a stray `#`
-fails.  A load rejects a misnamed section, a negative count, a line of the
-wrong width, a coordinate beyond 2 * COORD_LIMIT half-units (before
+obstacle pairs (`i j`).  The obstacles are the index's int64 (4, n) rect
+rows, written with one join and read back by one np.loadtxt into int64,
+like the edges; np.loadtxt takes no comments, so a stray `#` fails.
+Loading rebuilds everything else with the functions the build uses: the
+edges from their pairs (sweep.gap_edges), the grid from the obstacles and
+the partition from both (partition.build_partition, as engine.preprocess
+calls it); the index then derives its links and DSU timeline, as after a
+build.  A load rejects a misnamed section, a negative count, a line of
+the wrong width, a coordinate beyond 2 * COORD_LIMIT half-units (before
 numpy's int64 arithmetic could wrap), a degenerate obstacle, a pair that
-is out of order or out of range or has no passage, and any line after the
-edges.  It does not check that a pair's pathway is clear of other
-obstacles, which the build's relevance filter does.  A reloaded index
-answers every query exactly like the original.  The text is deterministic
-for a given index.  Files of earlier versions are rejected.
+is out of order or out of range or has no passage, any line after the
+edges, and a pair whose pathway meets an obstacle, which the build's
+relevance filter would have dropped.  That last check counts with the
+index's own obstacle counter, which the first batch of queries then
+reuses.  A reloaded index answers every query exactly like the original.
+The text is deterministic for a given index.  Files of earlier versions
+are rejected.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import FeasibilityIndex
-from .geometry import COORD_LIMIT, Obstacle
+from .geometry import COORD_LIMIT
 from .partition import build_grid, build_partition
-from .sweep import gap_edges
+from .sweep import gap_edges, pathways
 
 FORMAT_TAG = "gapgraph-index"
 FORMAT_VERSION = 6
@@ -46,8 +49,8 @@ def _ints(lines: list[str]) -> np.ndarray:
 def save_index(index: FeasibilityIndex, path: str) -> None:
     lines: list[str] = [f"{FORMAT_TAG} {FORMAT_VERSION}"]
     lines.append(f"candidates {index.candidate_count}")
-    lines.append(f"obstacles {len(index.obstacles)}")
-    lines += [f"{o.x1} {o.y1} {o.x2} {o.y2}" for o in index.obstacles]
+    lines.append(f"obstacles {index.rects.shape[1]}")
+    lines += map("{} {} {} {}".format, *index.rects.tolist())
     lines.append(f"edges {len(index.edges)}")
     lines += [f"{i} {j}" for i, j in index.edges.pairs.tolist()]
     with open(path, "w", encoding="ascii") as fh:
@@ -92,10 +95,12 @@ def _parse(rows) -> FeasibilityIndex:
     outside = np.flatnonzero(((corners < -limit) | (corners > limit)).any(axis=1))
     if outside.size:
         raise ValueError(f"obstacle {outside[0]}: coordinate outside [-2**61, 2**61]")
-    obstacles = [Obstacle(k, *c) for k, c in enumerate(corners.tolist())]
     rects = np.ascontiguousarray(corners.T)
+    flat = np.flatnonzero((rects[:2] >= rects[2:]).any(axis=0))
+    if flat.size:
+        raise ValueError(f"obstacle {flat[0]}: degenerate extent")
 
-    n = len(obstacles)
+    n = rects.shape[1]
     pairs = table("edges", 2)
     i, j = pairs.T
     bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
@@ -106,9 +111,13 @@ def _parse(rows) -> FeasibilityIndex:
     if next(rows, None) is not None:
         raise ValueError("trailing lines after the edges")
 
-    return FeasibilityIndex(
-        obstacles=obstacles,
+    index = FeasibilityIndex(
+        rects=rects,
         edges=edges,
         candidate_count=candidate_count,
         partition=build_partition(rects, edges, build_grid(rects)),
     )
+    blocked = np.flatnonzero(index.counter.meets(pathways(rects[:, i], rects[:, j])[2]))
+    if blocked.size:
+        raise ValueError(f"edge {pairs[blocked[0]].tolist()}: pathway meets an obstacle")
+    return index

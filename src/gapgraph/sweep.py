@@ -1,7 +1,8 @@
 """Gap-constraint edge construction.
 
 Candidate obstacle pairs come from eight passes, one per plane symmetry
-(geometry.SYMMETRIES), each run on the obstacles as int64 columns.  A pass
+(geometry.SYMMETRIES), each run on the obstacles' int64 (4, n) rect rows
+(geometry.ingest_world; an obstacle's id is its column).  A pass
 orders the obstacles as anchors by (x1, y1, id) and pairs each obstacle o
 with anchors whose shadow region (the trapezoid left of the anchor, above
 its bottom line, below a 45-degree diagonal from its top-left corner) holds
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SYMMETRIES, Obstacle, Symmetry
+from .geometry import SYMMETRIES, Symmetry
 from .partition import sorted_unique
 
 #: Candidates whose pathways relevance_filter computes at once.
@@ -105,8 +106,8 @@ def pathways(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 def gap_edges(pairs: np.ndarray, rects: np.ndarray) -> GapEdges:
     """The gap edges of the int64 (m, 2) rows `pairs`, i < j, over the
-    obstacles' (4, n) rect rows (columns); ValueError naming the first pair
-    that has no passage."""
+    obstacles' (4, n) rect rows; ValueError naming the first pair that has
+    no passage."""
     i, j = pairs.T
     s, rect, _ = pathways(rects[:, i], rects[:, j])
     shut = np.flatnonzero(s <= 0)
@@ -363,14 +364,6 @@ def _sweep_pass(
     )
 
 
-def columns(obstacles: list[Obstacle]) -> tuple[np.ndarray, np.ndarray]:
-    """The obstacles' int64 ids and their (4, n) rect rows x1, y1, x2, y2."""
-    cols = np.array(
-        [(o.id, o.x1, o.y1, o.x2, o.y2) for o in obstacles], dtype=np.int64
-    ).reshape(-1, 5)
-    return cols[:, 0], np.ascontiguousarray(cols[:, 1:].T)
-
-
 def _transform(sym: Symmetry, rects: np.ndarray) -> np.ndarray:
     """Symmetry.rect over (4, n) int64 rect rows."""
     ax, ay = sym.point(rects[0], rects[1])
@@ -380,20 +373,20 @@ def _transform(sym: Symmetry, rects: np.ndarray) -> np.ndarray:
     )
 
 
-def build_candidates(obstacles: list[Obstacle]) -> np.ndarray:
-    """Sorted, deduplicated candidate pairs (i < j) from all eight symmetry
-    passes, as int64 (m, 2) rows: <= 8n primary pairs plus ghost and tie
-    recoveries."""
-    if not obstacles:
+def build_candidates(rects: np.ndarray) -> np.ndarray:
+    """Sorted, deduplicated candidate pairs (i < j) of the obstacles' int64
+    (4, n) rect rows, ids by column, from all eight symmetry passes, as
+    int64 (m, 2) rows: <= 8n primary pairs plus ghost and tie recoveries."""
+    n = rects.shape[1]
+    if not n:
         return np.empty((0, 2), dtype=np.int64)
-    ids, rects = columns(obstacles)
-    m = int(ids.max()) + 1
+    ids = np.arange(n, dtype=np.int64)
     keys = []
     for sym in SYMMETRIES:
         pass_pairs = _sweep_pass(ids, _transform(sym, rects))
         for a, b in (pass_pairs[:2], pass_pairs[2:]):
-            keys.append(np.minimum(a, b) * m + np.maximum(a, b))
-    return np.column_stack(np.divmod(sorted_unique(np.concatenate(keys)), m))
+            keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.column_stack(np.divmod(sorted_unique(np.concatenate(keys)), n))
 
 
 def relevance_filter(candidates: np.ndarray, rects: np.ndarray) -> GapEdges:

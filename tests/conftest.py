@@ -1,4 +1,5 @@
-"""Shared test helpers: a rectangle under a plane symmetry and the inverse
+"""Shared test helpers: obstacles as int64 (4, n) rect rows and as Rect
+tuples, a rectangle or a world under a plane symmetry and the inverse
 symmetry, a DSU's latest timestamp, random and general-position worlds,
 the adversarial world families (tied, touching, nested, crossing),
 random rectilinear polygons, one sweep pass's primary pairs, the gap edges
@@ -17,16 +18,20 @@ from typing import Callable
 import numpy as np
 
 from gapgraph.dsu import PersistentDsu
-from gapgraph.geometry import Obstacle, RawShape, Rect, Symmetry, gaps, ingest_world
+from gapgraph.geometry import RawShape, Rect, Symmetry, gaps, ingest_world
 from gapgraph.partition import RegionPartition, build_grid, build_partition
-from gapgraph.sweep import (
-    GapEdges,
-    _sweep_pass,
-    build_candidates,
-    columns,
-    gap_edges,
-    relevance_filter,
-)
+from gapgraph.sweep import GapEdges, _sweep_pass, build_candidates, gap_edges, relevance_filter
+
+
+def rect_rows(boxes) -> np.ndarray:
+    """Half-unit boxes (x1, y1, x2, y2) as the int64 (4, n) rect rows that
+    ingest_world returns; a box's id is its position."""
+    return np.ascontiguousarray(np.array(boxes, dtype=np.int64).reshape(-1, 4).T)
+
+
+def rect_list(rects: np.ndarray) -> list[Rect]:
+    """The obstacles of int64 (4, n) rect rows as Rect tuples, in id order."""
+    return [Rect(*r) for r in rects.T.tolist()]
 
 
 def sym_rect(sym: Symmetry, r: Rect) -> Rect:
@@ -34,6 +39,12 @@ def sym_rect(sym: Symmetry, r: Rect) -> Rect:
     ax, ay = sym.point(r.x1, r.y1)
     bx, by = sym.point(r.x2, r.y2)
     return Rect(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+
+
+def sym_rows(sym: Symmetry, rects: np.ndarray) -> np.ndarray:
+    """The obstacles of int64 (4, n) rect rows under the symmetry sym, one
+    sym_rect per obstacle, ids kept."""
+    return rect_rows([sym_rect(sym, r) for r in rect_list(rects)])
 
 
 def sym_inverse(sym: Symmetry) -> Symmetry:
@@ -58,21 +69,21 @@ def random_world(rng: random.Random, n: int, span: int = 18) -> list[RawShape]:
     return shapes
 
 
-def random_obstacles(rng: random.Random, n: int, span: int = 18) -> list[Obstacle]:
+def random_obstacles(rng: random.Random, n: int, span: int = 18) -> np.ndarray:
     return ingest_world(random_world(rng, n, span))
 
 
-def general_position(rng: random.Random, n: int) -> list[Obstacle]:
+def general_position(rng: random.Random, n: int) -> np.ndarray:
     """Odd half-unit corners spread widely: no two sides share a line."""
-    obs = []
-    for k in range(n):
+    boxes = []
+    for _ in range(n):
         x, y = (2 * rng.randint(-500, 500) + 1 for _ in range(2))
         w, h = (2 * rng.randint(1, 150) for _ in range(2))
-        obs.append(Obstacle(k, x, y, x + w, y + h))
-    return obs
+        boxes.append((x, y, x + w, y + h))
+    return rect_rows(boxes)
 
 
-def tied_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+def tied_obstacles(rng: random.Random, n: int) -> np.ndarray:
     """Boxes whose sides come from a few shared lines: tied x1 and y1
     groups, flush sides and overlaps."""
     xs, ys = sorted(rng.sample(range(0, 40, 2), 5)), sorted(rng.sample(range(0, 40, 2), 5))
@@ -83,14 +94,14 @@ def tied_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
     return ingest_world(boxes)
 
 
-def touching_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+def touching_obstacles(rng: random.Random, n: int) -> np.ndarray:
     """Unit boxes on a lattice with holes, which meet along sides and at
     corners."""
     cells = rng.sample([(x, y) for x in range(6) for y in range(6)], n)
     return ingest_world([("rect", (2 * x, 2 * y, 2 * x + 2, 2 * y + 2)) for x, y in cells])
 
 
-def nested_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+def nested_obstacles(rng: random.Random, n: int) -> np.ndarray:
     """Boxes inside boxes, beside a few loose ones."""
     boxes = []
     for _ in range(n):
@@ -100,7 +111,7 @@ def nested_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
     return ingest_world(boxes)
 
 
-def crossing_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
+def crossing_obstacles(rng: random.Random, n: int) -> np.ndarray:
     """Plus signs: a tall and a wide box crossing at their middles."""
     boxes = []
     for _ in range(n):
@@ -109,7 +120,7 @@ def crossing_obstacles(rng: random.Random, n: int) -> list[Obstacle]:
     return ingest_world(boxes)
 
 
-def world_families(rng: random.Random) -> dict[str, Callable[[int], list[Obstacle]]]:
+def world_families(rng: random.Random) -> dict[str, Callable[[int], np.ndarray]]:
     """Makers of n-box worlds by family, drawing from rng: random lattice
     boxes, general position, tied lines, touching, nested and crossing
     boxes (the last two make about n boxes, in pairs)."""
@@ -123,30 +134,32 @@ def world_families(rng: random.Random) -> dict[str, Callable[[int], list[Obstacl
     }
 
 
-def shadow_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
-    """Primary pairs (first(o), o) of one sweep pass, as (anchor id,
-    obstacle id) in emission order: at most one per obstacle, so at most n."""
-    if not obstacles:
+def shadow_sweep_pass(rects: np.ndarray) -> list[tuple[int, int]]:
+    """Primary pairs (first(o), o) of one sweep pass over int64 (4, n) rect
+    rows, as (anchor id, obstacle id) in emission order: at most one per
+    obstacle, so at most n."""
+    n = rects.shape[1]
+    if not n:
         return []
-    anchor, other, _, _ = _sweep_pass(*columns(obstacles))
+    anchor, other, _, _ = _sweep_pass(np.arange(n, dtype=np.int64), rects)
     return list(zip(anchor.tolist(), other.tolist()))
 
 
-def edges_of(obstacles: list[Obstacle], pairs) -> GapEdges:
-    """sweep.gap_edges over (i, j) pairs of positions in `obstacles`."""
+def edges_of(rects: np.ndarray, pairs) -> GapEdges:
+    """sweep.gap_edges over (i, j) pairs of obstacle ids (columns of the
+    rect rows `rects`)."""
     rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return gap_edges(rows, columns(obstacles)[1])
+    return gap_edges(rows, rects)
 
 
-def build_gap_edges(obstacles: list[Obstacle]) -> GapEdges:
+def build_gap_edges(rects: np.ndarray) -> GapEdges:
     """The build's edge stages alone: sweep candidates, then relevance
     filtering."""
-    return relevance_filter(build_candidates(obstacles), columns(obstacles)[1])
+    return relevance_filter(build_candidates(rects), rects)
 
 
-def partition_of(obstacles: list[Obstacle], edges: GapEdges) -> RegionPartition:
-    """partition.build_partition over the obstacles' columns and grid."""
-    rects = columns(obstacles)[1]
+def partition_of(rects: np.ndarray, edges: GapEdges) -> RegionPartition:
+    """partition.build_partition over the obstacles' rect rows and grid."""
     return build_partition(rects, edges, build_grid(rects))
 
 
@@ -309,11 +322,12 @@ def region_adjacency(index) -> set[tuple[int, int]]:
                 return reg
         return None
 
+    obstacles = rect_list(index.rects)
     pairs = set()
     for i, j, _, r in edge_rows(index.edges):
         cx1, cx2 = line_cell(grid.xs, r.x1), line_cell(grid.xs, r.x2)
         cy1, cy2 = line_cell(grid.ys, r.y1), line_cell(grid.ys, r.y2)
-        gx, gy = gaps(index.obstacles[i], index.obstacles[j])
+        gx, gy = gaps(obstacles[i], obstacles[j])
         if gy >= gx:
             ys = [(cy1 + cy2) // 2, *range(cy1, cy2 + 1)]
             a = probe((cx1 - 1, y) for y in ys)

@@ -8,7 +8,9 @@ crossings.
 
 from __future__ import annotations
 
-from gapgraph.geometry import Obstacle, Rect, gaps
+import numpy as np
+
+from gapgraph.geometry import Rect, gaps
 from gapgraph.oracle import minimum_pathway
 from gapgraph.sweep import GapEdges
 
@@ -57,13 +59,13 @@ def segment_meets_rect(p: tuple[int, int], q: tuple[int, int], r: Rect) -> bool:
     return False
 
 
-def is_diagonal(a: Obstacle, b: Obstacle) -> bool:
+def is_diagonal(a: Rect, b: Rect) -> bool:
     """Whether the pair is separated on both axes (no shared projection)."""
     gx, gy = gaps(a, b)
     return gx > 0 and gy > 0
 
 
-def strictly_clear(i: int, j: int, obstacles: list[Obstacle]) -> bool:
+def strictly_clear(i: int, j: int, obstacles: list[Rect]) -> bool:
     """Whether no third obstacle even touches the closed pathway of edge
     (i, j).
 
@@ -73,15 +75,15 @@ def strictly_clear(i: int, j: int, obstacles: list[Obstacle]) -> bool:
     strictly clear ones.
     """
     p = minimum_pathway(obstacles[i], obstacles[j])
-    for o in obstacles:
-        if o.id in (i, j):
+    for k, o in enumerate(obstacles):
+        if k in (i, j):
             continue
         if o.x1 <= p.x2 and o.x2 >= p.x1 and o.y1 <= p.y2 and o.y2 >= p.y1:
             return False
     return True
 
 
-def edge_drawing(i: int, j: int, r: Rect, obstacles: list[Obstacle]):
+def edge_drawing(i: int, j: int, r: Rect, obstacles: list[Rect]):
     """Geometric realization of edge (i, j), gap rectangle r, for the
     non-crossing check.
 
@@ -118,11 +120,12 @@ def drawings_cross(a, b) -> bool:
 
 
 def non_crossing_violations(
-    obstacles: list[Obstacle], edges: GapEdges
+    rects: np.ndarray, edges: GapEdges
 ) -> list[tuple[int, int, int, int]]:
-    """Pairs of strictly clear edges (four distinct obstacles) whose
-    drawings collide.  Expected empty: the surviving constraint graph
-    embeds without crossings."""
+    """Pairs of strictly clear edges (four distinct obstacles of the int64
+    (4, n) rect rows) whose drawings collide.  Expected empty: the
+    surviving constraint graph embeds without crossings."""
+    obstacles = [Rect(*o) for o in rects.T.tolist()]
     checked = [
         ((i, j), edge_drawing(i, j, Rect(*r), obstacles))
         for (i, j), r in zip(edges.pairs.tolist(), edges.rect.T.tolist())

@@ -5,20 +5,40 @@ A pass orders the obstacles by (x1, y1, id) as anchors; each anchor pairs
 with and deletes every active obstacle whose bottom side lies in its shadow
 region (shadow_contains), using a segment tree over y1 ranks.  Deleted
 entries linger once as ghosts, and pairs matched inside a tied x1 group are
-re-offered to the group's other anchors; see _sweep_pass_full.
+re-offered to the group's other anchors; see _sweep_pass_full.  The entry
+points take the obstacles as int64 (4, n) rect rows, like the numpy sweep,
+and turn them into Box tuples of their own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NamedTuple
 
-from gapgraph.geometry import SYMMETRIES, Obstacle, Rect
+import numpy as np
+
+from gapgraph.geometry import SYMMETRIES, Rect
 from gapgraph.oracle import minimum_pathway
 
-from conftest import sym_rect
+from conftest import sym_rows
 
 
-def shadow_contains(anchor: Obstacle, other: Obstacle) -> bool:
+class Box(NamedTuple):
+    """One obstacle with its id: its column in the rect rows."""
+
+    id: int
+    x1: int
+    y1: int
+    x2: int
+    y2: int
+
+
+def boxes(rects: np.ndarray) -> list[Box]:
+    """The obstacles of int64 (4, n) rect rows as Box tuples."""
+    return [Box(k, *r) for k, r in enumerate(rects.T.tolist())]
+
+
+def shadow_contains(anchor: Box | Rect, other: Box | Rect) -> bool:
     """Whether other's bottom side lies entirely in anchor's shadow region."""
     return (
         other.x2 <= anchor.x1
@@ -71,7 +91,7 @@ class _MinTree:
         return out
 
 
-def _blocks(blocker: Obstacle, pathway: Rect | None) -> bool:
+def _blocks(blocker: Box, pathway: Rect | None) -> bool:
     """Whether the blocker meets the open interior of the pathway (boundary
     contact is not blocking, matching the relevance semantics)."""
     if pathway is None:
@@ -85,7 +105,7 @@ def _blocks(blocker: Obstacle, pathway: Rect | None) -> bool:
 
 
 def _sweep_pass_full(
-    obstacles: list[Obstacle],
+    obstacles: list[Box],
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """One sweep pass: obstacles ascending by (x1, y1, id); each anchor pairs
     with and deletes every active obstacle whose bottom side lies in its
@@ -116,7 +136,7 @@ def _sweep_pass_full(
     by_x2 = sorted(order, key=lambda o: (o.x2, o.id))
     tree = _MinTree(len(order))
     ghosts = _MinTree(len(order))
-    deleter: dict[int, Obstacle] = {}
+    deleter: dict[int, Box] = {}
     promote_at = 0
     pairs: list[tuple[int, int]] = []
     extras: list[tuple[int, int]] = []
@@ -131,7 +151,7 @@ def _sweep_pass_full(
             # Anything with x2 <= x1 here was anchored strictly earlier.
             tree.set(rank[o.id], o.y1 + o.x2)
             promote_at += 1
-        claimed: list[Obstacle] = []
+        claimed: list[Box] = []
         for anchor in group:
             lo = bisect_left(keys, (anchor.y1, -1))
             bound = anchor.y2 + anchor.x1
@@ -157,17 +177,16 @@ def _sweep_pass_full(
     return pairs, extras
 
 
-def reference_sweep_pass(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
+def reference_sweep_pass(rects: np.ndarray) -> list[tuple[int, int]]:
     """Primary emissions of one reference pass, in emission order."""
-    return _sweep_pass_full(obstacles)[0]
+    return _sweep_pass_full(boxes(rects))[0]
 
 
-def reference_candidates(obstacles: list[Obstacle]) -> list[tuple[int, int]]:
+def reference_candidates(rects: np.ndarray) -> list[tuple[int, int]]:
     """Deduplicated, sorted candidate pairs from all eight reference passes."""
     seen: set[tuple[int, int]] = set()
     for sym in SYMMETRIES:
-        transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obstacles]
-        pairs, extras = _sweep_pass_full(transformed)
+        pairs, extras = _sweep_pass_full(boxes(sym_rows(sym, rects)))
         for a, b in pairs + extras:
             seen.add((a, b) if a < b else (b, a))
     return sorted(seen)

@@ -11,7 +11,7 @@ import time
 from gapgraph.circles import diametral_disc_blocked, gabriel_edges
 from gapgraph.dsu import PersistentDsu
 from gapgraph.engine import Query, build_index, preprocess
-from gapgraph.geometry import Obstacle, ingest_world, placement_free
+from gapgraph.geometry import Rect, ingest_world, placement_free
 from gapgraph.oracle import oracle_feasible, oracle_relevant_edges
 from gapgraph.polygons import decompose, polygon_area
 from gapgraph.store import load_index, save_index
@@ -23,9 +23,10 @@ from conftest import (
     dsu_time,
     edge_rows,
     random_rectilinear_polygon,
+    rect_rows,
     region_adjacency,
     shadow_sweep_pass,
-    sym_rect,
+    sym_rows,
 )
 from planarity import non_crossing_violations
 
@@ -39,10 +40,9 @@ def _generated_worlds(count, max_n, seed0=0):
         yield kind, n, seed0 + k
 
 
-def _random_queries(rng, obstacles, k):
-    if obstacles:
-        xs = [v for o in obstacles for v in (o.x1, o.x2)]
-        ys = [v for o in obstacles for v in (o.y1, o.y2)]
+def _random_queries(rng, rects, k):
+    if rects.shape[1]:
+        xs, ys = rects[[0, 2]].ravel().tolist(), rects[[1, 3]].ravel().tolist()
         lo_x, hi_x, lo_y, hi_y = min(xs) - 6, max(xs) + 6, min(ys) - 6, max(ys) + 6
     else:
         lo_x = lo_y = -10
@@ -90,10 +90,10 @@ def test_acceptance_03_candidate_bounds():
     worlds = 0
     for kind, n, seed in _generated_worlds(450, 60, seed0=20_000):
         obstacles = ingest_world(world_shapes(kind, n, seed))
-        assert len(build_candidates(obstacles)) <= 8 * len(obstacles)
+        count = obstacles.shape[1]
+        assert len(build_candidates(obstacles)) <= 8 * count
         for sym in SYMMETRIES:
-            transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obstacles]
-            assert len(shadow_sweep_pass(transformed)) <= len(obstacles)
+            assert len(shadow_sweep_pass(sym_rows(sym, obstacles))) <= count
         worlds += 1
     print(f"ACCEPTANCE 3 candidate bounds: PASS ({worlds} worlds)")
 
@@ -102,7 +102,7 @@ def test_acceptance_04_planarity():
     worlds = 0
     for kind, n, seed in _generated_worlds(450, 60, seed0=30_000):
         index = build_index(world_shapes(kind, n, seed))
-        assert non_crossing_violations(index.obstacles, index.edges) == [], (
+        assert non_crossing_violations(index.rects, index.edges) == [], (
             kind,
             n,
             seed,
@@ -172,7 +172,7 @@ def test_acceptance_06_complexity_smoke():
         rng = random.Random(6)
         hops = [
             index.feasible_with_stats(q)[1]
-            for q in _random_queries(rng, index.obstacles, 400)
+            for q in _random_queries(rng, index.rects, 400)
         ]
         hops_max[n] = max(hops)
     total = time.perf_counter() - t_start
@@ -216,7 +216,7 @@ def test_acceptance_08_minkowski_equivalence():
     for _ in range(trials):
         x1 = rng.randint(-10, 10)
         y1 = rng.randint(-10, 10)
-        o = Obstacle(0, x1, y1, x1 + rng.randint(1, 9), y1 + rng.randint(1, 9))
+        o = Rect(x1, y1, x1 + rng.randint(1, 9), y1 + rng.randint(1, 9))
         p = (rng.randint(-16, 24), rng.randint(-16, 24))
         d = 2 * rng.randint(0, 6)
         h = d // 2
@@ -229,7 +229,7 @@ def test_acceptance_08_minkowski_equivalence():
             )
         else:
             collide = o.x1 < p[0] < o.x2 and o.y1 < p[1] < o.y2
-        assert placement_free(p, d, [o]) == (not collide)
+        assert placement_free(p, d, rect_rows([o])) == (not collide)
     print(f"ACCEPTANCE 8 expansion equivalence: PASS ({trials} triples)")
 
 
@@ -287,6 +287,6 @@ def test_acceptance_10_determinism_round_trip(tmp_path):
         path = tmp_path / f"fixture{k}.idx"
         save_index(index, str(path))
         loaded = load_index(str(path))
-        for q in _random_queries(rng, index.obstacles, 60):
+        for q in _random_queries(rng, index.rects, 60):
             assert loaded.feasible(q) == index.feasible(q)
     print("ACCEPTANCE 10 determinism and round-trip: PASS")

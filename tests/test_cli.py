@@ -15,6 +15,8 @@ from gapgraph.worldio import (
     parse_world,
 )
 
+from conftest import rect_list
+
 ROOM_TEXT = """\
 # room with a width-4 gap in the right wall
 R 0 0 10 1
@@ -142,7 +144,7 @@ class TestGenerators:
     def test_maze_has_touching_pair(self):
         from gapgraph.geometry import gaps, ingest_world
 
-        obs = ingest_world(world_shapes("maze", 50, 1))
+        obs = rect_list(ingest_world(world_shapes("maze", 50, 1)))
         touching = any(
             max(gaps(a, b)) == 0
             for i, a in enumerate(obs)

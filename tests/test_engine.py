@@ -6,18 +6,18 @@ import pytest
 
 from gapgraph.cli import inject_fault
 from gapgraph.engine import Query, Verdict, build_index, preprocess
-from gapgraph.geometry import SYMMETRIES, Obstacle, ingest_world
+from gapgraph.geometry import SYMMETRIES, ingest_world
 from gapgraph.oracle import oracle_feasible
 from gapgraph.partition import build_grid
-from gapgraph.sweep import columns
 from gapgraph.worldgen import world_shapes
 
 from conftest import (
     edge_rows,
     linked_regions,
     random_world,
+    rect_rows,
     straddling_node_reference,
-    sym_rect,
+    sym_rows,
 )
 
 ROOM = [
@@ -71,7 +71,7 @@ def test_fig_style_world_counts():
             ("rect", (-8, 7, -6, 11)),
         ]
     )
-    assert len(idx.obstacles) == 4
+    assert idx.rects.shape == (4, 4)
     passable = [(i, j) for i, j, cap, _ in edge_rows(idx.edges) if cap > 0]
     assert passable == [(0, 1), (0, 2), (2, 3)]
 
@@ -129,11 +129,11 @@ class TestSealedRemap:
 
 
 def _general_position_index(rng: random.Random):
-    obstacles = []
-    for k in range(rng.randint(3, 16)):
+    boxes = []
+    for _ in range(rng.randint(3, 16)):
         x, y = rng.randint(0, 40), rng.randint(0, 40)
-        obstacles.append(Obstacle(k, x, y, x + rng.randint(1, 12), y + rng.randint(1, 12)))
-    return preprocess(obstacles)
+        boxes.append((x, y, x + rng.randint(1, 12), y + rng.randint(1, 12)))
+    return preprocess(rect_rows(boxes))
 
 
 class TestStraddlingNode:
@@ -191,7 +191,7 @@ class TestStraddlingNode:
 def test_lattice_query_reads_at_most_2d_plus_1_squared_cells(n):
     # On integer coordinates an open interval of length D meets at most D
     # grid lines and D + 1 intervals between them, whatever n is.
-    grid = build_grid(columns(ingest_world(world_shapes("uniform", n, 0)))[1])
+    grid = build_grid(ingest_world(world_shapes("uniform", n, 0)))
     rng = random.Random(n)
     lo, hi = grid.xs[0] // 2 - 3, grid.xs[-1] // 2 + 3
     for side in range(1, 9):
@@ -249,10 +249,7 @@ def test_symmetry_invariance():
             for _ in range(8)
         ]
         for sym in SYMMETRIES:
-            transformed = [
-                Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obstacles
-            ]
-            idx_t = preprocess(transformed)
+            idx_t = preprocess(sym_rows(sym, obstacles))
             for s, t, d in queries:
                 v1 = idx.feasible(Query(s, t, d))
                 v2 = idx_t.feasible(Query(sym.point(*s), sym.point(*t), d))

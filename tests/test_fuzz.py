@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gapgraph.engine import build_index
 from gapgraph.geometry import COORD_LIMIT, ingest_world, placement_free
-from gapgraph.sweep import ObstacleCounter, columns
+from gapgraph.sweep import ObstacleCounter
 from gapgraph.worldio import parse_queries, parse_world
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -57,9 +57,9 @@ def test_ingest_world_raises_only_value_error(rects):
         obstacles = ingest_world([("rect", r) for r in rects])
     except ValueError:
         return
-    assert all(
-        abs(v) <= 2 * COORD_LIMIT for o in obstacles for v in (o.x1, o.y1, o.x2, o.y2)
-    )
+    assert obstacles.dtype == np.int64 and obstacles.shape == (4, len(rects))
+    assert obstacles.T.tolist() == [[2 * v for v in r] for r in rects]
+    assert all(abs(v) <= 2 * COORD_LIMIT for v in obstacles.ravel().tolist())
     build_index([("rect", r) for r in rects])
 
 
@@ -81,7 +81,7 @@ def test_grid_placement_check_equals_obstacle_scan(boxes, points, half_side):
     index = build_index([("rect", (x, y, x + w, y + h)) for x, y, w, h in boxes])
     d = 2 * half_side
     for p in points:
-        assert index.placement_free(p, d) == placement_free(p, d, index.obstacles), (p, d)
+        assert index.placement_free(p, d) == placement_free(p, d, index.rects), (p, d)
 
 
 @FUZZ
@@ -119,7 +119,10 @@ def test_obstacle_counter_equals_obstacle_scan(boxes, corners_and_sizes):
     reaching beyond the extremes."""
     obstacles = ingest_world([("rect", (x, y, x + w, y + h)) for x, y, w, h in boxes])
     opened = np.array([(x, y, x + w, y + h) for (x, y), w, h in corners_and_sizes]).T
-    counts = ObstacleCounter(columns(obstacles)[1]).meets(opened).tolist()
+    counts = ObstacleCounter(obstacles).meets(opened).tolist()
     for (x1, y1, x2, y2), count in zip(opened.T.tolist(), counts):
-        scan = sum(o.x1 < x2 and o.x2 > x1 and o.y1 < y2 and o.y2 > y1 for o in obstacles)
+        scan = sum(
+            o1 < x2 and o2 > x1 and p1 < y2 and p2 > y1
+            for o1, p1, o2, p2 in obstacles.T.tolist()
+        )
         assert count == scan, (x1, y1, x2, y2)

@@ -1,41 +1,38 @@
 import random
 
+import numpy as np
 import pytest
 
 from gapgraph.geometry import (
     SYMMETRIES,
     GapVector,
-    Obstacle,
     Rect,
     gaps,
     ingest_world,
     placement_free,
 )
 
-from conftest import edges_of, sym_inverse, sym_rect
+from conftest import edges_of, rect_list, rect_rows, sym_inverse, sym_rect
 from planarity import segments_properly_cross
-
-
-def rect_obstacle(i, x1, y1, x2, y2):
-    return Obstacle(i, x1, y1, x2, y2)
-
 
 # Two diagonal boxes and an overlapping pair, coordinates as drawn in the
 # reference sketches (units are arbitrary; the ops are unit-agnostic).
-A_DIAG = rect_obstacle(0, 0, 1, 2, 2)
-B_DIAG = rect_obstacle(1, 3, 5, 5, 7)
+A_DIAG = Rect(0, 1, 2, 2)
+B_DIAG = Rect(3, 5, 5, 7)
 # overlap pair needs the .5 coordinate doubled: [7,9]x[1,3] and [6,9.5]x[5,7]
-A_OVER = rect_obstacle(0, 14, 2, 18, 6)
-B_OVER = rect_obstacle(1, 12, 10, 19, 14)
+A_OVER = Rect(14, 2, 18, 6)
+B_OVER = Rect(12, 10, 19, 14)
 
 
 class TestIngest:
     def test_doubles_coordinates(self):
-        (o,) = ingest_world([("rect", (0, 1, 2, 2))])
-        assert (o.x1, o.y1, o.x2, o.y2) == (0, 2, 4, 4)
+        rects = ingest_world([("rect", (0, 1, 2, 2))])
+        assert rects.dtype == np.int64 and rects.flags.c_contiguous
+        assert rects.tolist() == [[0], [2], [4], [4]]
 
     def test_empty_input(self):
-        assert ingest_world([]) == []
+        rects = ingest_world([])
+        assert rects.dtype == np.int64 and rects.shape == (4, 0)
 
     def test_degenerate_extent_rejected(self):
         with pytest.raises(ValueError, match="input 1"):
@@ -47,8 +44,13 @@ class TestIngest:
             ("poly", [(0, 3), (2, 3), (2, 4), (1, 4), (1, 5), (0, 5)]),
             ("rect", (6, 6, 7, 7)),
         ]
-        obs = ingest_world(shapes)
-        assert [o.id for o in obs] == list(range(4))
+        # One column per rectangle and per polygon piece, in input order.
+        assert rect_list(ingest_world(shapes)) == [
+            Rect(0, 0, 2, 2),
+            Rect(0, 6, 4, 8),
+            Rect(0, 8, 2, 10),
+            Rect(12, 12, 14, 14),
+        ]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown shape kind"):
@@ -60,8 +62,8 @@ class TestGaps:
         assert gaps(A_DIAG, B_DIAG) == GapVector(1, 3)
 
     def test_identical_rects_fully_overlap(self):
-        a = rect_obstacle(0, 0, 0, 2, 2)
-        b = rect_obstacle(1, 0, 0, 2, 2)
+        a = Rect(0, 0, 2, 2)
+        b = Rect(0, 0, 2, 2)
         assert gaps(a, b) == GapVector(-2, -2)
 
     def test_overlap_pair(self):
@@ -70,8 +72,8 @@ class TestGaps:
     def test_symmetric(self):
         rng = random.Random(1)
         for _ in range(200):
-            a = fixed_obstacle(rng, 0)
-            b = fixed_obstacle(rng, 1)
+            a = fixed_obstacle(rng)
+            b = fixed_obstacle(rng)
             assert gaps(a, b) == gaps(b, a)
 
 
@@ -80,63 +82,66 @@ def sorted_pair(rng, span):
     return (v, v + rng.randint(1, 6))
 
 
-def fixed_obstacle(rng, i, span=20):
+def fixed_obstacle(rng, span=20):
     x1, x2 = sorted_pair(rng, span)
     y1, y2 = sorted_pair(rng, span)
-    return Obstacle(i, x1, y1, x2, y2)
+    return Rect(x1, y1, x2, y2)
 
 
 class TestCapacity:
     def test_diagonal_pair(self):
-        assert edges_of([A_DIAG, B_DIAG], [(0, 1)]).capacity[0] == 3
+        assert edges_of(rect_rows([A_DIAG, B_DIAG]), [(0, 1)]).capacity[0] == 3
 
     def test_full_overlap_has_no_passage(self):
-        a = rect_obstacle(0, 0, 0, 2, 2)
+        a = Rect(0, 0, 2, 2)
         with pytest.raises(ValueError, match="obstacles 0 and 1: no passage"):
-            edges_of([a, rect_obstacle(1, 0, 0, 2, 2)], [(0, 1)])
+            edges_of(rect_rows([a, Rect(0, 0, 2, 2)]), [(0, 1)])
 
     def test_overlap_pair(self):
-        assert edges_of([A_OVER, B_OVER], [(0, 1)]).capacity[0] == 4
+        assert edges_of(rect_rows([A_OVER, B_OVER]), [(0, 1)]).capacity[0] == 4
 
     def test_zero_iff_projections_meet_on_both_axes(self):
         rng = random.Random(2)
         for _ in range(300):
-            a = fixed_obstacle(rng, 0, 8)
-            b = fixed_obstacle(rng, 1, 8)
+            a = fixed_obstacle(rng, 8)
+            b = fixed_obstacle(rng, 8)
             g = gaps(a, b)
             if g.gx <= 0 and g.gy <= 0:
                 with pytest.raises(ValueError, match="no passage"):
-                    edges_of([a, b], [(0, 1)])
+                    edges_of(rect_rows([a, b]), [(0, 1)])
             else:
-                assert edges_of([a, b], [(0, 1)]).capacity[0] == max(g)
+                assert edges_of(rect_rows([a, b]), [(0, 1)]).capacity[0] == max(g)
 
 
 class TestThinEdgeRect:
     def test_overlap_pair(self):
-        assert edges_of([A_OVER, B_OVER], [(0, 1)]).rect.T.tolist() == [[14, 6, 18, 10]]
+        assert edges_of(rect_rows([A_OVER, B_OVER]), [(0, 1)]).rect.T.tolist() == [[14, 6, 18, 10]]
 
     def test_diagonal_pair_normalized(self):
-        assert edges_of([A_DIAG, B_DIAG], [(0, 1)]).rect.T.tolist() == [[2, 2, 3, 5]]
+        assert edges_of(rect_rows([A_DIAG, B_DIAG]), [(0, 1)]).rect.T.tolist() == [[2, 2, 3, 5]]
 
 
 class TestPlacementFree:
     def test_far_point(self):
-        assert placement_free((100, 100), 8, [rect_obstacle(0, 0, 0, 2, 2)])
+        assert placement_free((100, 100), 8, rect_rows([(0, 0, 2, 2)]))
 
     def test_center_of_obstacle_any_size(self):
-        o = rect_obstacle(0, 0, 0, 2, 2)
-        assert not placement_free((1, 1), 0, [o])
-        assert not placement_free((1, 1), 2, [o])
+        o = rect_rows([(0, 0, 2, 2)])
+        assert not placement_free((1, 1), 0, o)
+        assert not placement_free((1, 1), 2, o)
 
     def test_boundary_touch_allowed(self):
-        o = rect_obstacle(0, 4, 0, 8, 4)
-        assert placement_free((2, 2), 4, [o])  # exactly d/2 left of the side
-        assert not placement_free((3, 2), 4, [o])
+        o = rect_rows([(4, 0, 8, 4)])
+        assert placement_free((2, 2), 4, o)  # exactly d/2 left of the side
+        assert not placement_free((3, 2), 4, o)
+
+    def test_empty_world(self):
+        assert placement_free((0, 0), 8, ingest_world([]))
 
     def test_matches_interval_arithmetic(self):
         rng = random.Random(3)
         for _ in range(2000):
-            o = fixed_obstacle(rng, 0, 10)
+            o = fixed_obstacle(rng, 10)
             p = (rng.randint(-12, 14), rng.randint(-12, 14))
             d = 2 * rng.randint(0, 5)
             h = d // 2
@@ -146,7 +151,7 @@ class TestPlacementFree:
                 and p[1] - h < o.y2
                 and p[1] + h > o.y1
             ) if h else (o.x1 < p[0] < o.x2 and o.y1 < p[1] < o.y2)
-            assert placement_free(p, d, [o]) == (not overlap)
+            assert placement_free(p, d, rect_rows([o])) == (not overlap)
 
 
 class TestSymmetry:

@@ -5,7 +5,7 @@ from gapgraph.engine import Verdict
 from gapgraph.geometry import Rect, ingest_world
 from gapgraph.oracle import oracle_feasible, oracle_relevant_edges
 
-from conftest import random_obstacles
+from conftest import random_obstacles, rect_list
 
 ROOM = ingest_world(
     [
@@ -21,7 +21,7 @@ OUTSIDE = (30, 10)
 
 
 def test_empty_world_feasible():
-    assert oracle_feasible([], (0, 0), (100, -50), 2) is Verdict.FEASIBLE
+    assert oracle_feasible(ingest_world([]), (0, 0), (100, -50), 2) is Verdict.FEASIBLE
 
 
 def test_room_gap_threshold():
@@ -76,8 +76,9 @@ def test_refinement_invariance():
         assert oracle_feasible(obs, s, t, d, extra_x, extra_y) == base
 
 
-def _bfs_feasible(obstacles, s, t, d):
+def _bfs_feasible(rects, s, t, d):
     """Fully independent reference: pure-python BFS over the expanded grid."""
+    obstacles = rect_list(rects)
     if not obstacles:
         return Verdict.FEASIBLE
     h = d // 2

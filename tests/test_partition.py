@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gapgraph.engine import build_index
-from gapgraph.geometry import Obstacle, Rect, ingest_world
+from gapgraph.geometry import Rect, ingest_world
 from gapgraph.partition import WALL_CELL, build_grid, seal_links
-from gapgraph.sweep import columns, gap_edges, pathways
+from gapgraph.sweep import gap_edges, pathways
 from gapgraph.worldgen import world_shapes
 
 from conftest import (
@@ -22,6 +22,7 @@ from conftest import (
     partition_of,
     point_cell,
     random_obstacles,
+    rect_list,
     world_families,
 )
 from partition_reference import build_partition as dense_partition
@@ -81,14 +82,13 @@ class TestClosed:
         # the empty world and worlds without edges; then points and open
         # intervals anywhere, lo == hi included.
         rng = random.Random(44)
-        worlds = [[], *(random_obstacles(rng, 1) for _ in range(2))]
+        worlds = [ingest_world([]), *(random_obstacles(rng, 1) for _ in range(2))]
         worlds += [random_obstacles(rng, rng.randint(1, 14), span=10) for _ in range(40)]
         worlds += [general_position(rng, rng.randint(1, 14)) for _ in range(40)]
         edgeless = beyond = 0
-        for obs in worlds:
-            rects = columns(obs)[1]
+        for rects in worlds:
             grid = build_grid(rects)
-            edges = build_gap_edges(obs)
+            edges = build_gap_edges(rects)
             edgeless += not len(edges)
             drawn = []
             for _ in range(30):
@@ -129,9 +129,8 @@ class TestClosed:
     @pytest.mark.parametrize("side", range(4))
     @pytest.mark.parametrize("shift", [-1, 1, 10**6])
     def test_off_grid_side_fails(self, side, shift):
-        rects = columns(FOUR_BOXES)[1]
-        grid = build_grid(rects)
-        moved = rects.copy()
+        grid = build_grid(FOUR_BOXES)
+        moved = FOUR_BOXES.copy()
         moved[side, 2] += shift
         with pytest.raises(AssertionError, match="coordinate not on grid"):
             grid.closed(moved)
@@ -181,13 +180,14 @@ class TestLocate:
             obs = random_obstacles(rng, rng.randint(1, 12), span=10)
             edges = build_gap_edges(obs)
             rows = edge_rows(edges)
+            boxes = rect_list(obs)
             part = partition_of(obs, edges)
             rc = part.region_count
             for _ in range(900):
                 p = (rng.randint(-6, 30), rng.randint(-6, 30))
                 node = part.locate(p)
                 in_wall = any(
-                    o.x1 <= p[0] <= o.x2 and o.y1 <= p[1] <= o.y2 for o in obs
+                    o.x1 <= p[0] <= o.x2 and o.y1 <= p[1] <= o.y2 for o in boxes
                 )
                 in_seal = any(
                     r.x1 <= p[0] <= r.x2 and r.y1 <= p[1] <= r.y2
@@ -211,6 +211,7 @@ def test_every_cell_has_exactly_one_label():
         obs = random_obstacles(rng, rng.randint(1, 10), span=10)
         edges = build_gap_edges(obs)
         rows = edge_rows(edges)
+        boxes = rect_list(obs)
         part = partition_of(obs, edges)
         grid = part.grid
 
@@ -225,7 +226,7 @@ def test_every_cell_has_exactly_one_label():
             for iy in range(ny):
                 seals = [k for k, row in enumerate(rows) if covers(row[3], ix, iy)]
                 node = part.labels[ix, iy]
-                if any(covers(o.rect, ix, iy) for o in obs):
+                if any(covers(o, ix, iy) for o in boxes):
                     assert node == WALL_CELL
                 elif seals:
                     assert node == part.region_count + max(seals)
@@ -395,21 +396,19 @@ def test_seal_links_connect_corridor_chains():
     assert find(middle) == find(part.locate((0, 0)))
 
 
-def _every_gap(obstacles: list[Obstacle]):
+def _every_gap(rects: np.ndarray):
     """The gap edges of every pair that has a passage, relevant or not:
     many overlapping gap rectangles, also over walls."""
-    rects = columns(obstacles)[1]
-    i, j = np.triu_indices(len(obstacles), 1)
+    i, j = np.triu_indices(rects.shape[1], 1)
     open_ = pathways(rects[:, i], rects[:, j])[0] > 0
     return gap_edges(np.column_stack((i[open_], j[open_])).astype(np.int64), rects)
 
 
-def _assert_matches_dense(obstacles, edges):
+def _assert_matches_dense(rects, edges):
     """build_partition and seal_links equal the dense reference: labels,
     region count, column runs and links, with their dtypes."""
-    rects = columns(obstacles)[1]
     grid = build_grid(rects)
-    part = partition_of(obstacles, edges)
+    part = partition_of(rects, edges)
     want = dense_partition(rects, edges, grid)
     assert part.region_count == want.region_count
     for field in ("labels", "run_start", "run_label"):
@@ -420,7 +419,8 @@ def _assert_matches_dense(obstacles, edges):
 
 def test_runs_equal_dense_reference_on_world_families():
     rng = random.Random(48)
-    _assert_matches_dense([], build_gap_edges([]))
+    empty = ingest_world([])
+    _assert_matches_dense(empty, build_gap_edges(empty))
     for make in world_families(rng).values():
         for _ in range(40):
             obstacles = make(rng.randint(1, 16))
@@ -433,4 +433,4 @@ def test_runs_equal_dense_reference_on_acceptance_worlds(count, max_n, seed0):
     kinds = ("uniform", "cluster", "maze")
     for k in range(count):
         index = build_index(world_shapes(kinds[k % 3], 1 + (k * 7919) % max_n, seed0 + k))
-        _assert_matches_dense(index.obstacles, index.edges)
+        _assert_matches_dense(index.rects, index.edges)

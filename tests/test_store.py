@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from gapgraph.cli import main
 from gapgraph.engine import Query, Verdict, build_index, preprocess
 from gapgraph.geometry import ingest_world
 from gapgraph.oracle import oracle_feasible
@@ -57,8 +58,7 @@ def test_round_trip_reproduces_verdicts(tmp_path):
         for _ in range(6):
             obstacles = make(rng.randint(1, 16))
             idx = preprocess(obstacles)
-            corners = [c for o in obstacles for c in (o.x1, o.y1, o.x2, o.y2)]
-            lo, hi = min(corners) - 6, max(corners) + 6
+            lo, hi = int(obstacles.min()) - 6, int(obstacles.max()) + 6
             _assert_round_trip(idx, path, _queries(rng, lo, hi, max(6, (hi - lo) // 60)))
 
 
@@ -159,22 +159,25 @@ BLOCKED_PAIR = [(6, 10, 9, 12), (14, 3, 17, 6), (12, 13, 14, 17), (11, 5, 14, 8)
                 (6, 10, 10, 12), (14, 10, 17, 13), (12, 14, 14, 17), (8, 14, 12, 17)]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a load does not check that a pathway is clear")
-def test_forged_edge_with_a_blocked_pathway_does_not_change_a_verdict(tmp_path):
-    # A load checks that each pair has a passage, not that its pathway is
-    # clear: the forged pair (0, 1) adds a seal that the build dropped.
+def test_forged_edge_with_a_blocked_pathway_does_not_change_a_verdict(tmp_path, capsys):
+    # A hand-added pair (0, 1) has a passage, but its pathway is blocked, so
+    # its seal would let a robot through where the build's index and the
+    # oracle say no.  The load rejects the pair by name, and `gapgraph
+    # query` on the file exits 1 instead of answering.
     obstacles = ingest_world([("rect", box) for box in BLOCKED_PAIR])
     idx = preprocess(obstacles)
     assert [0, 1] not in idx.edges.pairs.tolist()
     path = tmp_path / "forged.idx"
     save_index(idx, str(path))
+    q = Query((31, 37), (24, 19), 6)
+    assert load_index(str(path)).feasible(q) is idx.feasible(q)
+    assert idx.feasible(q) is oracle_feasible(obstacles, q.s, q.t, q.d) is Verdict.INFEASIBLE
     m = len(idx.edges)
     path.write_text(path.read_text().replace(f"edges {m}\n", f"edges {m + 1}\n") + "0 1\n")
-    q = Query((31, 37), (24, 19), 6)
-    want = oracle_feasible(obstacles, q.s, q.t, q.d)
-    assert idx.feasible(q) is want is Verdict.INFEASIBLE
-    try:
-        loaded = load_index(str(path))
-    except ValueError:
-        return  # rejecting the forged pair mends it too
-    assert [loaded.feasible(q), *loaded.feasible_many([q])] == [want, want]
+    with pytest.raises(ValueError, match=r"edge \[0, 1\]: pathway meets an obstacle"):
+        load_index(str(path))
+    queries = tmp_path / "q.txt"
+    queries.write_text("Q 15 18 12 9 3\n")
+    assert main(["query", str(path), str(queries)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "edge [0, 1]: pathway meets an obstacle" in err

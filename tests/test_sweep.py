@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from gapgraph.engine import Query, build_index
-from gapgraph.geometry import (
-    COORD_LIMIT,
-    SYMMETRIES,
-    Obstacle,
-    Rect,
-    gaps,
-    ingest_world,
-)
+from gapgraph.geometry import COORD_LIMIT, SYMMETRIES, Rect, gaps, ingest_world
 from gapgraph.oracle import minimum_pathway, oracle_feasible, oracle_relevant_edges
 from gapgraph.partition import WALL_CELL
-from gapgraph.sweep import build_candidates, columns, pathways, relevance_filter
+from gapgraph.sweep import build_candidates, pathways, relevance_filter
 from gapgraph.worldgen import world_shapes
 
 from conftest import (
@@ -26,17 +19,20 @@ from conftest import (
     general_position,
     partition_of,
     random_obstacles,
+    rect_list,
+    rect_rows,
     shadow_sweep_pass,
-    sym_rect,
+    sym_rows,
 )
 from planarity import is_diagonal, non_crossing_violations
-from sweep_reference import reference_candidates, reference_sweep_pass, shadow_contains
+from sweep_reference import boxes, reference_candidates, reference_sweep_pass, shadow_contains
 
 # External-unit fixtures, doubled by hand.
-DIAG_A = Obstacle(0, 0, 2, 4, 4)      # [0,2]x[1,2]
-DIAG_B = Obstacle(1, 6, 10, 10, 14)   # [3,5]x[5,7]
-OVER_A = Obstacle(0, 14, 2, 18, 6)    # [7,9]x[1,3]
-OVER_B = Obstacle(1, 12, 10, 19, 14)  # [6,9.5]x[5,7]
+DIAG_A = Rect(0, 2, 4, 4)      # [0,2]x[1,2]
+DIAG_B = Rect(6, 10, 10, 14)   # [3,5]x[5,7]
+OVER_A = Rect(14, 2, 18, 6)    # [7,9]x[1,3]
+OVER_B = Rect(12, 10, 19, 14)  # [6,9.5]x[5,7]
+DIAG = rect_rows([DIAG_A, DIAG_B])
 
 COLLINEAR = ingest_world(
     [("rect", (0, 0, 1, 1)), ("rect", (4, 0, 5, 1)), ("rect", (2, 0, 3, 1))]
@@ -52,19 +48,20 @@ class TestMinimumPathway:
         assert minimum_pathway(OVER_A, OVER_B) == Rect(10, 6, 22, 10)
 
     def test_double_overlap_has_no_pathway(self):
-        a = Obstacle(0, 0, 0, 4, 4)
-        b = Obstacle(1, 2, 2, 6, 6)
+        a = Rect(0, 0, 4, 4)
+        b = Rect(2, 2, 6, 6)
         assert minimum_pathway(a, b) is None
         with pytest.raises(ValueError, match="no passage"):
-            edges_of([a, b], [(0, 1)])
+            edges_of(rect_rows([a, b]), [(0, 1)])
 
     def test_pathway_contains_edge_rect(self):
         rng = random.Random(20)
         for _ in range(400):
-            a, b = random_obstacles(rng, 2)
+            pair = random_obstacles(rng, 2)
+            a, b = rect_list(pair)
             if max(gaps(a, b)) <= 0:
                 continue
-            ((*_, r),) = edge_rows(edges_of([a, b], [(0, 1)]))
+            ((*_, r),) = edge_rows(edges_of(pair, [(0, 1)]))
             p = minimum_pathway(a, b)
             assert p.x1 <= r.x1 and p.y1 <= r.y1 and p.x2 >= r.x2 and p.y2 >= r.y2
 
@@ -74,10 +71,10 @@ def _pairs(rows: np.ndarray) -> list[tuple[int, int]]:
     return [(i, j) for i, j in rows.tolist()]
 
 
-def _passage_axis(a: Obstacle, b: Obstacle) -> str | None:
+def _passage_axis(a: Rect, b: Rect) -> str | None:
     """The axis the pair's minimum pathway runs along: it extends past the
     gap rectangle in that direction and matches it across."""
-    ((*_, r),) = edge_rows(edges_of([a, b], [(0, 1)]))
+    ((*_, r),) = edge_rows(edges_of(rect_rows([a, b]), [(0, 1)]))
     p = minimum_pathway(a, b)
     if (p.y1, p.y2) == (r.y1, r.y2) and p.x1 < r.x1 and r.x2 < p.x2:
         return "horizontal"
@@ -88,44 +85,46 @@ def _passage_axis(a: Obstacle, b: Obstacle) -> str | None:
 
 class TestGapEdges:
     def test_diagonal_kind_and_axis(self):
-        (cap,) = edges_of([DIAG_A, DIAG_B], [(0, 1)]).capacity.tolist()
+        (cap,) = edges_of(DIAG, [(0, 1)]).capacity.tolist()
         assert is_diagonal(DIAG_A, DIAG_B)
         assert (_passage_axis(DIAG_A, DIAG_B), cap) == ("horizontal", 6)
 
     def test_overlap_kind(self):
-        (cap,) = edges_of([OVER_A, OVER_B], [(0, 1)]).capacity.tolist()
+        (cap,) = edges_of(rect_rows([OVER_A, OVER_B]), [(0, 1)]).capacity.tolist()
         assert not is_diagonal(OVER_A, OVER_B)
         assert (_passage_axis(OVER_A, OVER_B), cap) == ("horizontal", 4)
 
     def test_vertical_passage(self):
-        assert not is_diagonal(COLLINEAR[0], COLLINEAR[1])
-        assert _passage_axis(COLLINEAR[0], COLLINEAR[1]) == "vertical"
+        a, b, _ = rect_list(COLLINEAR)
+        assert not is_diagonal(a, b)
+        assert _passage_axis(a, b) == "vertical"
 
 
 class TestShadowContains:
     def test_drawn_configuration(self):
-        anchor = Obstacle(1, 5, 0, 12, 3)
-        other = Obstacle(0, -8, 4, 2, 9)
+        anchor = Rect(5, 0, 12, 3)
+        other = Rect(-8, 4, 2, 9)
         assert shadow_contains(anchor, other)
 
     def test_other_to_the_right_fails(self):
-        anchor = Obstacle(1, 5, 0, 12, 3)
-        assert not shadow_contains(anchor, Obstacle(0, 13, 4, 14, 9))
+        anchor = Rect(5, 0, 12, 3)
+        assert not shadow_contains(anchor, Rect(13, 4, 14, 9))
 
     def test_diagonal_bound_binds_at_bottom_right(self):
-        anchor = Obstacle(1, 10, 0, 24, 6)       # [5,12]x[0,3] doubled
-        inside = Obstacle(0, -16, 8, 4, 18)      # x2 = 2 external
-        outside = Obstacle(0, -16, 8, 9, 18)     # x2 = 4.5 external
+        anchor = Rect(10, 0, 24, 6)       # [5,12]x[0,3] doubled
+        inside = Rect(-16, 8, 4, 18)      # x2 = 2 external
+        outside = Rect(-16, 8, 9, 18)     # x2 = 4.5 external
         assert shadow_contains(anchor, inside)
         assert not shadow_contains(anchor, outside)
 
 
-def brute_force_pass(obstacles):
-    """Linear-scan re-simulation of one sweep pass: every anchor claims and
-    deletes all active obstacles whose bottom side sits in its shadow."""
-    active: list[Obstacle] = []
+def brute_force_pass(rects):
+    """Linear-scan re-simulation of one sweep pass over int64 (4, n) rect
+    rows: every anchor claims and deletes all active obstacles whose bottom
+    side sits in its shadow."""
+    active = []
     out = []
-    for anchor in sorted(obstacles, key=lambda o: (o.x1, o.y1, o.id)):
+    for anchor in sorted(boxes(rects), key=lambda o: (o.x1, o.y1, o.id)):
         matched = [o for o in sorted(active, key=lambda o: (o.y1, o.id))
                    if shadow_contains(anchor, o)]
         for o in matched:
@@ -137,12 +136,12 @@ def brute_force_pass(obstacles):
 
 class TestShadowSweepPass:
     def test_single_obstacle(self):
-        assert shadow_sweep_pass([Obstacle(0, 0, 0, 2, 2)]) == []
+        assert shadow_sweep_pass(rect_rows([(0, 0, 2, 2)])) == []
 
     def test_two_obstacles_one_pair(self):
-        anchor = Obstacle(1, 5, 0, 12, 3)
-        other = Obstacle(0, -8, 4, 2, 9)
-        assert shadow_sweep_pass([anchor, other]) == [(1, 0)]
+        other = (-8, 4, 2, 9)
+        anchor = (5, 0, 12, 3)
+        assert shadow_sweep_pass(rect_rows([other, anchor])) == [(1, 0)]
 
     def test_matches_linear_scan_simulation(self):
         rng = random.Random(21)
@@ -155,29 +154,29 @@ class TestShadowSweepPass:
         for _ in range(60):
             obs = random_obstacles(rng, rng.randint(1, 30), span=10)
             for sym in SYMMETRIES:
-                transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obs]
-                assert len(shadow_sweep_pass(transformed)) <= len(obs)
+                transformed = sym_rows(sym, obs)
+                assert len(shadow_sweep_pass(transformed)) <= obs.shape[1]
 
 
 class TestBuildCandidates:
     def test_trivial_worlds(self):
-        for obs in ([], [Obstacle(0, 0, 0, 2, 2)]):
+        for obs in (ingest_world([]), rect_rows([(0, 0, 2, 2)])):
             cands = build_candidates(obs)
             assert cands.dtype == np.int64 and cands.shape == (0, 2)
 
     def test_two_diagonal_obstacles(self):
-        assert build_candidates([DIAG_A, DIAG_B]).tolist() == [[0, 1]]
+        assert build_candidates(DIAG).tolist() == [[0, 1]]
 
     def test_bound_and_completeness(self):
         rng = random.Random(23)
         for _ in range(80):
             obs = random_obstacles(rng, rng.randint(1, 24), span=14)
             cands = set(map(tuple, build_candidates(obs).tolist()))
-            assert len(cands) <= 8 * len(obs)
+            assert len(cands) <= 8 * obs.shape[1]
             assert oracle_relevant_edges(obs) <= cands
 
 
-def _tied_columns(rng: random.Random, n: int) -> list[Obstacle]:
+def _tied_columns(rng: random.Random, n: int) -> np.ndarray:
     """Boxes whose x1 falls on one of a few shared columns, so that x1
     groups are large and anchors in them fit the same obstacles."""
     columns = rng.randint(1, 6)
@@ -188,7 +187,7 @@ def _tied_columns(rng: random.Random, n: int) -> list[Obstacle]:
     return ingest_world(shapes)
 
 
-def _extreme_corners(rng: random.Random, n: int) -> list[Obstacle]:
+def _extreme_corners(rng: random.Random, n: int) -> np.ndarray:
     """Boxes whose corners reach +-COORD_LIMIT external units."""
     e = COORD_LIMIT
     shapes = []
@@ -210,13 +209,14 @@ def test_gap_edges_match_python_reference():
     worlds += [general_position(rng, 12) for _ in range(20)]
     worlds += [_extreme_corners(rng, 12) for _ in range(20)]
     shut_seen = 0
-    for obs in worlds:
+    for rects in worlds:
+        obs = rect_list(rects)
         pairs = [(i, j) for i in range(len(obs)) for j in range(i + 1, len(obs))]
         shut = [(i, j) for i, j in pairs if minimum_pathway(obs[i], obs[j]) is None]
         if shut:
             shut_seen += 1
             with pytest.raises(ValueError, match="obstacles %d and %d: no passage" % shut[0]):
-                edges_of(obs, pairs)
+                edges_of(rects, pairs)
         passable = [pair for pair in pairs if pair not in shut]
         expected, expected_paths = [], []
         for i, j in passable:
@@ -229,11 +229,10 @@ def test_gap_edges_match_python_reference():
                 (x1, x2), (y1, y2) = (p.x1, p.x2), sorted((p.y1 + s, p.y2 - s))
             expected.append((i, j, s, Rect(x1, y1, x2, y2)))
             expected_paths.append(list(p))
-        edges = edges_of(obs, passable)
+        edges = edges_of(rects, passable)
         assert edge_rows(edges) == expected
         assert [a.dtype for a in (edges.pairs, edges.capacity, edges.rect)] == [np.int64] * 3
         i, j = np.array(passable, dtype=np.int64).reshape(-1, 2).T
-        rects = columns(obs)[1]
         assert pathways(rects[:, i], rects[:, j])[2].T.tolist() == expected_paths
     assert shut_seen >= 10
 
@@ -263,7 +262,7 @@ class TestMatchesReference:
     def test_shadow_sweep_pass_under_every_symmetry(self):
         for obs in _reference_worlds():
             for sym in SYMMETRIES:
-                transformed = [Obstacle(o.id, *sym_rect(sym, o.rect)) for o in obs]
+                transformed = sym_rows(sym, obs)
                 assert shadow_sweep_pass(transformed) == reference_sweep_pass(
                     transformed
                 ), (sym, obs)
@@ -298,7 +297,7 @@ def test_int64_headroom_at_the_coordinate_limit():
     assert len(verdicts) >= 2
 
 
-def _staggered_ties(n: int) -> list[Obstacle]:
+def _staggered_ties(n: int) -> np.ndarray:
     """sqrt(n) columns of 2x2 boxes at pitch 3; a column's boxes share x1,
     and its rows sit half a box off those of the columns beside it."""
     side = math.isqrt(n)
@@ -330,20 +329,18 @@ def test_staggered_tie_doubling_ratio():
 
 class TestRelevanceFilter:
     def test_lone_pair_survives(self):
-        edges = build_gap_edges([DIAG_A, DIAG_B])
+        edges = build_gap_edges(DIAG)
         assert _pairs(edges.pairs) == [(0, 1)]
 
     def test_collinear_middle_kills_long_edge(self):
         all_pairs = np.array([(0, 1), (0, 2), (1, 2)], dtype=np.int64)
-        rects = columns(COLLINEAR)[1]
-        kept = set(_pairs(relevance_filter(all_pairs, rects).pairs))
+        kept = set(_pairs(relevance_filter(all_pairs, COLLINEAR).pairs))
         assert kept == {(0, 2), (1, 2)}
 
     def test_capacity_zero_pairs_dropped(self):
         touching = ingest_world([("rect", (0, 0, 1, 1)), ("rect", (1, 0, 2, 1))])
-        rects = columns(touching)[1]
         pair = np.array([(0, 1)], dtype=np.int64)
-        assert len(relevance_filter(pair, rects)) == 0
+        assert len(relevance_filter(pair, touching)) == 0
         part = partition_of(touching, edges_of(touching, []))
         for y in (0, 1, 2):  # the whole contact segment is wall
             assert part.locate((2, y)) == WALL_CELL
@@ -365,14 +362,15 @@ class TestRelevanceFilter:
         rng = random.Random(25)
         checked = 0
         for _ in range(150):
-            obs = random_obstacles(rng, rng.randint(3, 14), span=8)
-            kept = set(_pairs(build_gap_edges(obs).pairs))
+            rects = random_obstacles(rng, rng.randint(3, 14), span=8)
+            obs = rect_list(rects)
+            kept = set(_pairs(build_gap_edges(rects).pairs))
             removed = [
                 (i, j)
-                for i, j in _pairs(build_candidates(obs))
+                for i, j in _pairs(build_candidates(rects))
                 if (i, j) not in kept and max(gaps(obs[i], obs[j])) > 0
             ]
-            for i, j, cap, _ in edge_rows(edges_of(obs, removed)):
+            for i, j, cap, _ in edge_rows(edges_of(rects, removed)):
                 p = minimum_pathway(obs[i], obs[j])
                 for k, o in enumerate(obs):
                     if k in (i, j):
